@@ -8,8 +8,8 @@ per subplan **fingerprint**, so a stage shared by many queries has one
 ledger — exactly the granularity ``EXPLAIN ANALYZE`` and
 :class:`~repro.query.calibration.CalibrationProfile` need.
 
-Collection follows the registry's opt-in discipline: the DAG executor
-checks :func:`current_collector` once per chunk and does no timing, no
+Collection follows the registry's opt-in discipline: both executors
+record through :mod:`repro.obs.probe`, which does no timing, no
 provenance tagging, and no dict work when no collector is installed.
 """
 
@@ -189,8 +189,8 @@ class StageStats:
 class StatsCollector:
     """Accumulates :class:`StageStats` per subplan fingerprint.
 
-    One collector spans a whole observed run; the DAG executor fetches a
-    stage's ledger once and publishes through it. Also flags the engine
+    One collector spans a whole observed run; each operator's stage probe
+    fetches its ledger once and publishes through it. Also flags the engine
     to tag chunks with :class:`~repro.core.provenance.Provenance`.
     """
 

@@ -29,12 +29,10 @@ exemplar.  Pull operators reuse the stats ledger key
 (``plan_fingerprint`` or ``pull:<name>``), sources use
 ``source:<stream_id>`` and delivery uses ``delivery``.
 
-Zero-cost discipline: the fast path in stages/pipeline checks
-``current_frame_tracer()`` once per open (the same ``current_*`` rule as
-``tracing.py``) and an untraced chunk (``chunk.trace is None``) never
-triggers ``perf_counter`` — the perf-guard test in
-``tests/test_obs_stats.py`` monkeypatches this module's ``perf_counter``
-to raise.
+Zero-cost discipline: both executors ask :mod:`repro.obs.probe` whether
+a step needs accounting, and an untraced chunk (``chunk.trace is None``)
+under a frame tracer alone never triggers ``perf_counter`` — the
+perf-guard tests monkeypatch the executors' ``perf_counter`` to raise.
 """
 
 from __future__ import annotations

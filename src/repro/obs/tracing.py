@@ -14,9 +14,9 @@ trees into dataflow order so exporters and waterfalls render pull and
 push runs identically.  Raw ``to_dicts()`` output keeps the original
 links.
 
-Tracing follows the same zero-cost rule as the registry: the engine calls
-:func:`current_tracer` once per pipeline open (not per chunk) and takes
-the untraced code path when it returns None.
+Tracing follows the same zero-cost rule as the registry: with no tracer
+installed, :mod:`repro.obs.probe` sends both executors down their
+untraced code path.
 """
 
 from __future__ import annotations

@@ -10,9 +10,12 @@ zero-overhead guarantee of the no-observability fast path.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
+from repro.core import GeoStream
 from repro.core.provenance import MAX_TRACKED_SCANS, Provenance
 from repro.errors import PlanError, ServerError
 from repro.faults import FaultSpec, RecoveryContext, harden_catalog, recovering
@@ -23,7 +26,13 @@ from repro.obs.slo import SLOMonitor, SLOPolicy
 from repro.obs.stats import Reservoir, format_lineage, lineage
 from repro.operators import AdaptiveLoadShedder
 from repro.plan import canonicalize, estimate_plan
-from repro.query import CalibrationProfile, CalibrationSample, optimize, parse_query
+from repro.query import (
+    CalibrationProfile,
+    CalibrationSample,
+    optimize,
+    parse_query,
+    plan_query,
+)
 from repro.server import DSMSServer, StreamCatalog
 
 from tests.conftest import DAY_T0, sector_subbox
@@ -161,6 +170,35 @@ class TestStageStatsViaDAG:
         server.run()
         assert session.frames
         assert all(lineage(f) is None for f in session.frames)
+
+
+class TestPullStatsUnderTracing:
+    @staticmethod
+    def _pull(catalog, **mode):
+        # Scan-stamped sources, as the DSMS tags them, so provenance flows.
+        sources = {}
+        for sid in catalog.ids():
+            stream = catalog.get(sid)
+            tagged = [
+                replace(c, provenance=Provenance.scan(sid, i))
+                for i, c in enumerate(stream.collect_chunks())
+            ]
+            sources[sid] = GeoStream.from_chunks(stream.metadata, tagged)
+        with obs.observe(stats=True, **mode) as ob:
+            chunks = plan_query(parse_query(Q_STRETCH), sources).collect_chunks()
+        ledgers = {
+            s.fingerprint: (s.chunks_in, s.chunks_out, s.points_in, s.points_out, s.bytes_in, s.bytes_out)
+            for s in ob.stats
+        }
+        return ledgers, [c.provenance for c in chunks]
+
+    def test_span_tracing_keeps_the_pull_ledgers(self, catalog):
+        ledgers, tags = self._pull(catalog)
+        traced_ledgers, traced_tags = self._pull(catalog, trace=True)
+        assert len(ledgers) == 2
+        assert traced_ledgers == ledgers
+        assert all(tag is not None for tag in tags)
+        assert traced_tags == tags
 
 
 class TestCalibration:

@@ -26,8 +26,9 @@ from repro.faults import FaultSpec, RecoveryContext, harden_catalog, recovering
 from repro.geo import goes_geostationary
 from repro.ingest import GOESImager, SyntheticEarth, western_us_sector
 from repro.obs.slo import SLOPolicy
-from repro.obs.trace import span_id_for
+from repro.obs.trace import span_id_for, trace_source
 from repro.operators import AdaptiveLoadShedder
+from repro.query import parse_query, plan_query
 from repro.server import DSMSServer, StreamCatalog
 
 from tests.conftest import DAY_T0
@@ -145,6 +146,10 @@ class TestSampling:
         session = server.register(Q_REFL, encode_png=False)
         server.run()
         assert session.frames
+        # The pull executor honours the same contract.
+        monkeypatch.setattr("repro.engine.pipeline.perf_counter", forbidden)
+        sources = {sid: trace_source(catalog.get(sid)) for sid in catalog.ids()}
+        assert plan_query(parse_query(Q_STRETCH), sources).collect_chunks()
 
 
 class TestFlightRecorder:

@@ -263,6 +263,37 @@ def test_rl007_allows_logical_clock_code(tmp_path):
     assert lint_source(tmp_path, "src/repro/obs/timeline.py", src) == []
 
 
+# -- RL008: one instrumentation hook per executor ---------------------------------
+
+
+def test_rl008_flags_direct_sink_calls_in_executors(tmp_path):
+    src = (
+        "def feed(op, chunk, entry, span, ftr):\n"
+        "    collector = current_collector()\n"
+        "    tracer = obs.current_frame_tracer()\n"
+        "    ftr.record_hop(chunk.trace)\n"
+        "    entry.observe(points_in=1)\n"
+        "    span.record(1, 1, 1, 0.0)\n"
+        "    self._span.record(1, 1, 1, 0.0)\n"
+    )
+    for rel in ("src/repro/engine/pipeline.py", "src/repro/plan/stages.py"):
+        assert codes(lint_source(tmp_path, rel, src)) == ["RL008"] * 6
+
+
+def test_rl008_allows_the_probe_and_other_modules(tmp_path):
+    executor = (
+        "def feed(op, chunk, span):\n"
+        "    sinks = installed_sinks(chunk.trace is not None)\n"
+        "    probe = StageProbe.for_operator(op).bind(sinks, span)\n"
+        "    outs = list(op.process(chunk))\n"
+        "    return probe.step(chunk, outs, 0.0, 1.0)\n"
+    )
+    assert lint_source(tmp_path, "src/repro/engine/pipeline.py", executor) == []
+    hooks = "def step(stats, span, ftr, ctx):\n    stats.observe()\n    span.record()\n    ftr.record_hop(ctx)\n"
+    for rel in ("src/repro/obs/probe.py", "src/repro/server/dsms.py"):
+        assert lint_source(tmp_path, rel, hooks) == []
+
+
 # -- framework --------------------------------------------------------------------
 
 

@@ -43,6 +43,13 @@ Rules:
   that tests can assert exactly — only holds if every timestamp is a
   logical time passed in by the caller (DSMS stream clock or fault-layer
   ``SimClock``).
+* **RL008 — one hook per executor.** The pull executor
+  (``src/repro/engine/pipeline.py``) and the push stages
+  (``src/repro/plan/stages.py``) account operator steps only through
+  ``repro.obs.probe``: direct ``current_collector()`` /
+  ``current_frame_tracer()`` calls, ``.record_hop(``, ``.observe(`` /
+  ``.observe_operator(`` and ``span.record(`` are forbidden there, so
+  the two executors cannot drift into separate instrumentation copies.
 """
 
 from __future__ import annotations
@@ -479,6 +486,46 @@ def _check_timeline_clock(rel: str, tree: ast.AST) -> Iterator[Violation]:
                 )
 
 
+# -- RL008: executors instrument only through the stage probe ---------------------
+
+EXECUTOR_FILES = ("src/repro/engine/pipeline.py", "src/repro/plan/stages.py")
+PROBE_ONLY_CALLS = frozenset(
+    {"current_collector", "current_frame_tracer", "record_hop", "observe", "observe_operator"}
+)
+
+
+def _receiver_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
+
+
+def _check_probe_only(rel: str, tree: ast.AST) -> Iterator[Violation]:
+    if rel not in EXECUTOR_FILES:
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = _receiver_name(func)
+        span_record = (
+            isinstance(func, ast.Attribute)
+            and name == "record"
+            and "span" in _receiver_name(func.value)
+        )
+        if name in PROBE_ONLY_CALLS or span_record:
+            yield Violation(
+                rel,
+                node.lineno,
+                node.col_offset,
+                "RL008",
+                f"direct {name}() call in an executor; account operator steps "
+                "through repro.obs.probe (installed_sinks / StageProbe.step)",
+            )
+
+
 _CHECKS = (
     _check_timing,
     _check_private_imports,
@@ -487,6 +534,7 @@ _CHECKS = (
     _check_seeded_random,
     _check_stage_table_mutation,
     _check_timeline_clock,
+    _check_probe_only,
 )
 
 
