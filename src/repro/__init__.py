@@ -94,7 +94,7 @@ from .operators import (
     reflectance,
     spatio_temporal_aggregate,
 )
-from .plan import PlanDAG, PlanNode, build_composition, build_value_map, canonicalize
+from .plan import PlanDAG, build_composition, build_value_map, canonicalize
 from .query import Q, optimize, parse_query, plan_query
 from .server import ClientSession, DSMSServer, SessionCheckpoint, StreamCatalog
 
@@ -162,8 +162,7 @@ __all__ = [
     "parse_query",
     "optimize",
     "plan_query",
-    # plan IR
-    "PlanNode",
+    # planning
     "PlanDAG",
     "canonicalize",
     "build_value_map",

@@ -3,8 +3,8 @@
 The algebra is closed and every operator's effect on the stream's
 *static type* — CRS, spatial extent, value domain, band arity, temporal
 window — is known without executing anything. :func:`analyze` propagates
-that type bottom-up through the AST (with source spans when the query
-came in as text), then cross-checks the canonical plan IR, and reports
+that type bottom-up through the tree (with source spans when the query
+came in as text), then cross-checks its canonical form, and reports
 everything it can prove wrong as :class:`~repro.analysis.diagnostics.
 Diagnostic` values with stable codes.
 
@@ -24,7 +24,6 @@ from ..core.timeset import TimeInterval, TimeSet
 from ..errors import GeoStreamsError
 from ..geo.crs import CRS
 from ..geo.region import BoundingBox, Region
-from ..plan import nodes as p
 from ..plan.canonical import canonicalize
 from ..plan.ops import VALUE_MAP_DEFAULTS
 from ..query import ast as q
@@ -612,7 +611,7 @@ def _check_canonical(
     """
     diags: list[Diagnostic] = []
 
-    def emit(code: str, message: str, node: p.PlanNode) -> None:
+    def emit(code: str, message: str, node: q.QueryNode) -> None:
         if code in already:
             return  # the AST walk already reported this condition with a span
         diags.append(
@@ -630,8 +629,8 @@ def _check_canonical(
         # CRS resolution failures surface through the AST walk (GS-CRS002).
         return diags
 
-    by_fingerprint: dict[str, p.PlanNode] = {}
-    for node in p.walk(plan):
+    by_fingerprint: dict[str, q.QueryNode] = {}
+    for node in q.walk(plan):
         fp = node.fingerprint
         other = by_fingerprint.get(fp)
         if other is not None and other != node:
@@ -642,7 +641,7 @@ def _check_canonical(
                 node,
             )
         by_fingerprint[fp] = node
-        if isinstance(node, p.SpatialRestrict) and getattr(
+        if isinstance(node, q.SpatialRestrict) and getattr(
             node.region, "is_empty_hint", False
         ):
             emit(
@@ -651,7 +650,7 @@ def _check_canonical(
                 "query can never deliver a frame",
                 node,
             )
-        if isinstance(node, p.TemporalRestrict):
+        if isinstance(node, q.TemporalRestrict):
             if node.timeset.definitely_empty or _half_open_empty(node.timeset):
                 emit(
                     "GS-SAT003",
@@ -665,7 +664,7 @@ def _check_canonical(
                     "folded scan-sector window lies entirely before sector 0",
                     node,
                 )
-        if isinstance(node, p.ValueRestrict):
+        if isinstance(node, q.ValueRestrict):
             if node.lo is not None and node.hi is not None and node.lo > node.hi:
                 emit(
                     "GS-VAL002",

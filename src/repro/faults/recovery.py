@@ -32,7 +32,7 @@ is observable through ``repro_faults_*`` metrics.
 
 Recovery is opt-in, mirroring the observability layer: install a
 :class:`RecoveryContext` (usually via the :func:`recovering` context
-manager) and the engine, push compiler, stream generator, and DSMS all
+manager) and the engine, push PlanDAG, stream generator, and DSMS all
 degrade gracefully instead of raising. With no context installed they
 behave exactly as before — fail fast.
 """
@@ -204,7 +204,7 @@ class RecoveryContext:
     """Shared recovery state: clock, backoff policy, dead-letter, knobs.
 
     Installing a context (see :func:`recovering`) switches the engine, the
-    push compiler, the stream generator, and the DSMS from fail-fast to
+    push PlanDAG, the stream generator, and the DSMS from fail-fast to
     degrade-gracefully. All recovery decisions and all quarantined data
     flow through this object, so one context gives a complete post-mortem
     of a chaotic run.

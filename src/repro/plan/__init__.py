@@ -1,62 +1,25 @@
-"""Physical-plan IR shared by the pull and push execution paths.
+"""Physical planning shared by the pull and push execution paths.
 
-Layering: the query layer parses and optimizes *logical* trees
-(``repro.query.ast``); this package lowers them to canonical physical
-plans (:func:`canonicalize`), which either execution path then turns into
-running machinery — pull via :func:`plan_to_stream` (chained lazy
-generators) or push via :class:`PlanDAG` (a shared operator DAG the DSMS
-feeds chunk-by-chunk, with subplan-level sharing across queries).
+Layering: the query layer parses and optimizes the one query tree
+(``repro.query.ast``); this package puts it in canonical normal form
+(:func:`canonicalize`) and turns that into running machinery — pull via
+:func:`plan_to_stream` (chained lazy generators) or push via
+:class:`PlanDAG` (a shared operator DAG the DSMS feeds chunk-by-chunk,
+with subplan-level sharing across queries). Both build their operators
+through :func:`make_operator`.
 """
 
-from .canonical import canonicalize, estimate_plan
-from .lower import empty_stream, plan_to_stream
-from .nodes import (
-    COMMUTATIVE_GAMMAS,
-    Coarsen,
-    Compose,
-    EmptyPlan,
-    Magnify,
-    PlanNode,
-    RegionAgg,
-    Reproject,
-    Rotate,
-    SourceScan,
-    SpatialRestrict,
-    Stretch,
-    TemporalAgg,
-    TemporalRestrict,
-    ValueMap,
-    ValueRestrict,
-    source_ids,
-    walk,
-)
+from .canonical import canonicalize
 from .epoch import EpochSwapResult, EpochTransition, PlanEpoch
-from .ops import VALUE_MAP_DEFAULTS, build_composition, build_value_map
+from .lower import empty_stream, plan_to_stream
+from .ops import VALUE_MAP_DEFAULTS, build_composition, build_value_map, make_operator
 from .stages import PlanDAG, PlanStats, Stage
 
 __all__ = [
-    "PlanNode",
-    "SourceScan",
-    "EmptyPlan",
-    "SpatialRestrict",
-    "TemporalRestrict",
-    "ValueRestrict",
-    "ValueMap",
-    "Stretch",
-    "Magnify",
-    "Coarsen",
-    "Rotate",
-    "Reproject",
-    "Compose",
-    "TemporalAgg",
-    "RegionAgg",
-    "walk",
-    "source_ids",
-    "COMMUTATIVE_GAMMAS",
     "canonicalize",
-    "estimate_plan",
     "plan_to_stream",
     "empty_stream",
+    "make_operator",
     "build_value_map",
     "build_composition",
     "VALUE_MAP_DEFAULTS",

@@ -1,72 +1,49 @@
-"""Logical AST → canonical physical plan.
+"""Canonicalization: the normal form of a query tree.
 
-Canonicalization makes structurally different but equivalent query trees
-produce *equal* plan nodes (hence equal fingerprints), which is what
-subplan sharing keys on:
+Canonicalization is the final pass of the one rewriter. It returns nodes
+of the same classes the parser and optimizer use, in a normal form where
+structurally different but equivalent trees are *equal* (hence have
+equal fingerprints), which is what subplan sharing keys on:
 
 * commutative compositions (γ in ``+ * sup inf``) order their children
   deterministically by fingerprint;
-* adjacent restrictions of the same kind fold into one (mirroring the
-  optimizer's ``merge-spatial``/``merge-temporal`` rules, plus value
-  ranges by interval intersection);
+* adjacent restrictions of the same kind fold into one (the optimizer's
+  own ``merge-spatial``/``merge-temporal`` rules, plus value ranges by
+  interval intersection);
 * spatial-restriction regions are resolved into the child's CRS when the
   source CRSs are known (the planner's safety net, applied once at plan
   time instead of per lowering);
 * value-map parameters are materialized against their declared defaults
   so ``reflectance()`` and ``reflectance(bits=10)`` hash identically;
-* each composition's timestamp-matching policy is resolved from the
-  source metadata (or a supplied default) and recorded in the plan.
+* each composition's timestamp-matching policy is resolved to its
+  leftmost input source's policy and recorded in the node.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping
 
-from ..core.timeset import intersect_timesets
-from ..errors import PlanError
 from ..geo.crs import CRS
-from ..geo.region import intersect_regions
 from ..query import ast as q
-from ..query.calibration import CalibrationProfile
-from ..query.cost import Estimate, NodeCost, StreamProfile
-from . import nodes as p
-from .nodes import COMMUTATIVE_GAMMAS
+from ..query.optimizer import fold_spatial, fold_temporal, infer_crs
 from .ops import VALUE_MAP_DEFAULTS
 
-__all__ = ["canonicalize", "estimate_plan"]
+__all__ = ["canonicalize"]
 
 
-def _plan_crs(plan: p.PlanNode, crs_of: Mapping[str, CRS]) -> CRS | None:
-    """Output CRS of a plan, when derivable from the source CRS map."""
-    if isinstance(plan, p.SourceScan):
-        return crs_of.get(plan.stream_id)
-    if isinstance(plan, p.Reproject):
-        return plan.dst_crs
-    if isinstance(plan, p.Compose):
-        return _plan_crs(plan.left, crs_of)
-    children = plan.children
-    if children:
-        return _plan_crs(children[0], crs_of)
-    return None
+def _leaf_policy(node: q.QueryNode, policy_of: Mapping[str, str]) -> str:
+    """Timestamp policy of the leftmost source below ``node``.
 
-
-def _leaf_policy(
-    plan: p.PlanNode, policy_of: Mapping[str, str], default_policy: str
-) -> str:
-    """Timestamp policy of the leftmost source below ``plan``.
-
-    Matches what the pull executor historically derived from stream
-    metadata: operators preserve the policy, so the composed stream's
-    policy is its leftmost source's.
+    Operators preserve the policy, so a composed stream's policy is its
+    leftmost source's (the rule of ``repro.operators.macros`` too).
     """
-    cur = plan
-    while True:
-        if isinstance(cur, p.SourceScan):
-            return policy_of.get(cur.stream_id, default_policy)
-        children = cur.children
-        if not children:
-            return default_policy
-        cur = children[0]
+    cur = node
+    while not isinstance(cur, q.StreamRef):
+        if not cur.children:
+            return "sector"
+        cur = cur.children[0]
+    return policy_of.get(cur.stream_id, "sector")
 
 
 def canonicalize(
@@ -74,101 +51,60 @@ def canonicalize(
     *,
     crs_of: Mapping[str, CRS] | None = None,
     policy_of: Mapping[str, str] | None = None,
-    default_policy: str = "sector",
-) -> p.PlanNode:
-    """Lower a logical query tree to its canonical physical plan."""
-    crs_map = dict(crs_of or {})
-    policy_map = dict(policy_of or {})
+) -> q.QueryNode:
+    """Normal form of a (typically optimized) query tree.
 
-    def visit(n: q.QueryNode) -> p.PlanNode:
-        if isinstance(n, q.StreamRef):
-            return p.SourceScan(n.stream_id)
-        if isinstance(n, q.Empty):
-            return p.EmptyPlan(n.reason)
+    ``crs_of`` and ``policy_of`` map source stream ids to their CRS and
+    timestamp policy; a stream missing from ``policy_of`` counts as
+    ``"sector"``. Canonicalizing a canonical tree returns an equal tree.
+    """
+    crs_map = crs_of or {}
+    policy_map = policy_of or {}
+
+    def visit(n: q.QueryNode) -> q.QueryNode:
+        # Unchanged subtrees come back as the same objects, so their
+        # cached fingerprints carry over.
         if isinstance(n, q.Compose):
-            left = visit(n.left)
-            right = visit(n.right)
-            # Policy from the original left subtree, mirroring pull-path
-            # semantics, *before* any commutative reordering.
-            policy = _leaf_policy(left, policy_map, default_policy)
-            if n.gamma in COMMUTATIVE_GAMMAS and right.fingerprint < left.fingerprint:
+            # Policy from the input subtree as written, *before* any
+            # commutative reordering below or at this node.
+            policy = n.timestamp_policy or _leaf_policy(n.left, policy_map)
+            left, right = visit(n.left), visit(n.right)
+            if n.gamma in q.COMMUTATIVE_GAMMAS and right.fingerprint < left.fingerprint:
                 left, right = right, left
-            return p.Compose(left, right, n.gamma, policy)
-        if isinstance(n, q.SpatialRestrict):
-            child = visit(n.child)
-            region = n.region
-            child_crs = _plan_crs(child, crs_map)
-            if child_crs is not None and region.crs != child_crs:
+            if left is n.left and right is n.right and policy == n.timestamp_policy:
+                return n
+            return replace(n, left=left, right=right, timestamp_policy=policy)
+        children = n.children
+        if not children:
+            return n
+        child = visit(children[0])
+        cur = n if child is children[0] else n.with_children(child)
+        if isinstance(cur, q.SpatialRestrict):
+            child_crs = infer_crs(child, crs_map)
+            if child_crs is not None and cur.region.crs != child_crs:
                 # Safety net: the optimizer normally maps regions across
                 # CRSs; do it here too so unoptimized queries still run.
-                region = region.transformed(child_crs)
-            if isinstance(child, p.SpatialRestrict) and child.region.crs == region.crs:
-                inner = child
-                if region is inner.region or region == inner.region:
-                    return inner  # identical restriction twice
-                region = intersect_regions(region, inner.region)
-                child = inner.child
-            return p.SpatialRestrict(child, region)
-        if isinstance(n, q.TemporalRestrict):
-            child = visit(n.child)
-            timeset = n.timeset
-            if isinstance(child, p.TemporalRestrict) and child.on_sector == n.on_sector:
-                inner = child
-                if timeset == inner.timeset:
-                    return inner
-                timeset = intersect_timesets(timeset, inner.timeset)
-                child = inner.child
-            return p.TemporalRestrict(child, timeset, n.on_sector)
-        if isinstance(n, q.ValueRestrict):
-            child = visit(n.child)
-            lo, hi = n.lo, n.hi
-            if isinstance(child, p.ValueRestrict):
-                inner = child
-                lo = inner.lo if lo is None else (lo if inner.lo is None else max(lo, inner.lo))
-                hi = inner.hi if hi is None else (hi if inner.hi is None else min(hi, inner.hi))
-                child = inner.child
-            return p.ValueRestrict(child, lo, hi)
-        if isinstance(n, q.ValueMap):
-            child = visit(n.child)
-            defaults = VALUE_MAP_DEFAULTS.get(n.kind)
+                cur = replace(cur, region=cur.region.transformed(child_crs))
+            return fold_spatial(cur) or cur
+        if isinstance(cur, q.TemporalRestrict):
+            return fold_temporal(cur) or cur
+        if isinstance(cur, q.ValueRestrict) and isinstance(child, q.ValueRestrict):
+            lo, hi = cur.lo, cur.hi
+            lo = child.lo if lo is None else (lo if child.lo is None else max(lo, child.lo))
+            hi = child.hi if hi is None else (hi if child.hi is None else min(hi, child.hi))
+            return q.ValueRestrict(child.child, lo, hi)
+        if isinstance(cur, q.ValueMap):
+            defaults = VALUE_MAP_DEFAULTS.get(cur.kind)
             if defaults is None:
-                params = tuple(sorted(n.params))
+                params = tuple(sorted(cur.params))
             else:
                 params = tuple(
-                    (name, float(n.param(name, default))) for name, default in defaults
+                    (name, float(cur.param(name, default))) for name, default in defaults
                 )
-            return p.ValueMap(child, n.kind, params)
-        if isinstance(n, q.Stretch):
-            return p.Stretch(visit(n.child), n.kind)
-        if isinstance(n, q.Magnify):
-            return p.Magnify(visit(n.child), n.k)
-        if isinstance(n, q.Coarsen):
-            return p.Coarsen(visit(n.child), n.k)
-        if isinstance(n, q.Rotate):
-            return p.Rotate(visit(n.child), n.angle_deg)
-        if isinstance(n, q.Reproject):
-            return p.Reproject(visit(n.child), n.dst_crs, n.method)
-        if isinstance(n, q.TemporalAgg):
-            return p.TemporalAgg(visit(n.child), n.func, n.window, n.mode)
-        if isinstance(n, q.RegionAgg):
-            return p.RegionAgg(visit(n.child), tuple(n.regions), n.func)
-        raise PlanError(f"canonicalizer does not know node type {type(n).__name__}")
+            # Compared by repr, as fingerprints are: 10 == 10.0, but the
+            # canonical parameter is the float.
+            if repr(params) != repr(cur.params):
+                cur = replace(cur, params=params)
+        return cur
 
     return visit(node)
-
-
-def estimate_plan(
-    plan: p.PlanNode,
-    profiles: Mapping[str, StreamProfile],
-    calibration: CalibrationProfile | None = None,
-) -> tuple[Estimate, list[NodeCost]]:
-    """Cost-estimate a canonical plan (delegates to the logical model).
-
-    Estimates are defined over canonicalized plans so that two queries
-    that will share execution also share one cost figure. A fitted
-    :class:`~repro.query.calibration.CalibrationProfile` prices the plan
-    in measured wall seconds (``Estimate.seconds``).
-    """
-    from ..query.cost import estimate_query
-
-    return estimate_query(plan.to_ast(), profiles, calibration=calibration)

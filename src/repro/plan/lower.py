@@ -1,8 +1,8 @@
 """Pull-side lowering: canonical plan → lazy GeoStream pipeline.
 
 The pull executor re-opens sources per query, so no stages are shared;
-what it shares with the push executor is the *plan* and the single
-operator-construction table on the plan nodes.
+what it shares with the push executor is the canonical tree and the
+single operator table (:func:`repro.plan.ops.make_operator`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from typing import Callable, TypeVar
 from ..core.stream import GeoStream
 from ..engine.pipeline import compose_streams
 from ..operators.base import BinaryOperator, Operator
-from . import nodes as p
+from ..query import ast as q
+from .ops import make_operator
 
 __all__ = ["plan_to_stream", "empty_stream"]
 
@@ -36,7 +37,7 @@ def empty_stream(reason: str = "") -> GeoStream:
     return GeoStream(metadata, lambda: iter(()))
 
 
-def _stamp(op: _OpT, plan: p.PlanNode) -> _OpT:
+def _stamp(op: _OpT, plan: q.QueryNode) -> _OpT:
     """Tag a fresh operator with its plan node's identity.
 
     The pull executor has no shared stages, but stamping the subplan
@@ -50,7 +51,7 @@ def _stamp(op: _OpT, plan: p.PlanNode) -> _OpT:
 
 
 def plan_to_stream(
-    plan: p.PlanNode,
+    plan: q.QueryNode,
     resolve: Callable[[str], GeoStream],
     columnar: bool | None = None,
 ) -> GeoStream:
@@ -60,17 +61,17 @@ def plan_to_stream(
     planned queries never share mutable state. ``columnar`` selects the
     execution mode for every lowered operator (None: process default).
     """
-    if isinstance(plan, p.SourceScan):
+    if isinstance(plan, q.StreamRef):
         return resolve(plan.stream_id)
-    if isinstance(plan, p.EmptyPlan):
+    if isinstance(plan, q.Empty):
         return empty_stream(plan.reason)
-    if isinstance(plan, p.Compose):
+    if isinstance(plan, q.Compose):
         left = plan_to_stream(plan.left, resolve, columnar=columnar)
         right = plan_to_stream(plan.right, resolve, columnar=columnar)
-        return compose_streams(
-            left, right, _stamp(plan.make_operator(), plan), columnar=columnar
-        )
+        binary = _stamp(make_operator(plan), plan)
+        assert isinstance(binary, BinaryOperator)
+        return compose_streams(left, right, binary, columnar=columnar)
     child = plan_to_stream(plan.children[0], resolve, columnar=columnar)
-    op = _stamp(plan.make_operator(), plan)
+    op = _stamp(make_operator(plan), plan)
     assert isinstance(op, Operator), f"unary plan node built a binary operator: {plan.describe()}"
     return child.pipe(op, columnar=columnar)

@@ -1,8 +1,8 @@
-"""Operator factories shared by every lowering of the plan IR.
+"""The one operator table: query-tree node -> fresh physical operator.
 
-These used to live as private helpers inside ``query/planner.py`` with
-the push compiler reaching across the package boundary for them; they are
-now the one public construction point for parameterized operators.
+Both lowerings (pull ``plan_to_stream`` and the push ``PlanDAG``) build
+their operators here, so the query layer itself never imports an
+operator.
 """
 
 from __future__ import annotations
@@ -13,15 +13,25 @@ import numpy as np
 
 from ..core.valueset import NDVI_VALUES, ValueSet
 from ..errors import PlanError
-from ..operators.base import Operator
+from ..operators.aggregate import RegionAggregate, TemporalAggregate
+from ..operators.base import BinaryOperator, Operator
 from ..operators.composition import StreamComposition, normalized_difference
+from ..operators.reprojection import Reproject
+from ..operators.restriction import (
+    SpatialRestriction,
+    TemporalRestriction,
+    ValueRestriction,
+)
+from ..operators.spatial_transform import Coarsen, Magnify, Rotate
 from ..operators.value_transform import (
     CountsToReflectance,
+    FrameStretch,
     PointwiseTransform,
     Rescale,
 )
+from ..query import ast as q
 
-__all__ = ["build_value_map", "build_composition", "VALUE_MAP_DEFAULTS"]
+__all__ = ["make_operator", "build_value_map", "build_composition", "VALUE_MAP_DEFAULTS"]
 
 # Canonical parameter lists (name, default) per value-map kind. The
 # canonicalizer materializes every parameter in this order so that
@@ -86,3 +96,35 @@ def build_composition(gamma: str, timestamp_policy: str = "sector") -> StreamCom
             output_value_set=ValueSet("evi2", np.float32, lo=-2.5, hi=2.5),
         )
     return StreamComposition(gamma, timestamp_policy=timestamp_policy)
+
+
+def make_operator(node: q.QueryNode) -> Operator | BinaryOperator:
+    """Fresh physical operator for one node of a canonical tree.
+
+    Leaves (stream references, provably-empty streams) have none.
+    """
+    if isinstance(node, q.SpatialRestrict):
+        return SpatialRestriction(node.region)
+    if isinstance(node, q.TemporalRestrict):
+        return TemporalRestriction(node.timeset, on_sector=node.on_sector)
+    if isinstance(node, q.ValueRestrict):
+        return ValueRestriction(lo=node.lo, hi=node.hi)
+    if isinstance(node, q.ValueMap):
+        return build_value_map(node.kind, node.params)
+    if isinstance(node, q.Stretch):
+        return FrameStretch(node.kind)
+    if isinstance(node, q.Magnify):
+        return Magnify(node.k)
+    if isinstance(node, q.Coarsen):
+        return Coarsen(node.k)
+    if isinstance(node, q.Rotate):
+        return Rotate(node.angle_deg)
+    if isinstance(node, q.Reproject):
+        return Reproject(node.dst_crs, method=node.method)
+    if isinstance(node, q.Compose):
+        return build_composition(node.gamma, node.timestamp_policy or "sector")
+    if isinstance(node, q.TemporalAgg):
+        return TemporalAggregate(node.window, node.func, node.mode)
+    if isinstance(node, q.RegionAgg):
+        return RegionAggregate(dict(node.regions), node.func)
+    raise PlanError(f"{type(node).__name__} has no physical operator")

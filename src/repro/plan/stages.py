@@ -26,7 +26,7 @@ from ..faults.recovery import current_recovery
 from ..obs.probe import Sinks, StageProbe, installed_sinks
 from ..obs.tracing import Span, Tracer
 from ..operators.base import BinaryOperator, Operator
-from .nodes import PlanNode
+from ..query.ast import QueryNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (circular with .epoch)
     from .epoch import EpochSwapResult, PlanEpoch
@@ -93,7 +93,7 @@ class Stage:
         "_probe",
     )
 
-    def __init__(self, node: PlanNode, op: Operator | BinaryOperator, dag: "PlanDAG") -> None:
+    def __init__(self, node: QueryNode, op: Operator | BinaryOperator, dag: "PlanDAG") -> None:
         self.node = node
         self.op = op
         self.outputs: list[Edge] = []
@@ -226,7 +226,7 @@ class PlanDAG:
     # EpochTransition (repro.plan.epoch), the single place allowed to
     # touch the stage tables (lint rule RL006).
 
-    def add_plan(self, plan: PlanNode, sink: _Sink, root_id: int) -> list[Stage]:
+    def add_plan(self, plan: QueryNode, sink: _Sink, root_id: int) -> list[Stage]:
         """Wire one query plan into the DAG, reusing shared subplans.
 
         Returns the stages the plan uses (for refcounted removal). The
@@ -240,7 +240,7 @@ class PlanDAG:
         return stages
 
     def swap_plan(
-        self, root_id: int, new_plan: PlanNode, sink: _Sink,
+        self, root_id: int, new_plan: QueryNode, sink: _Sink,
         old_stages: Iterable[Stage], reason: str = "replan",
     ) -> "EpochSwapResult":
         """Move a live query to its next plan epoch (hot swap).

@@ -4,21 +4,27 @@ Every node denotes a GeoStream; operators take GeoStream-denoting children
 and denote GeoStreams again, so arbitrary nesting is well-formed — the
 closure property "allows the formulation of complex queries ... and also
 provides a basis for query optimization techniques, such as query
-rewriting" (Section 3). The optimizer rewrites these trees; the planner
-lowers them onto physical operator pipelines.
+rewriting" (Section 3). This is the one tree from parser to executor:
+the parser builds it, the optimizer rewrites it, ``repro.plan.canonicalize``
+puts it in normal form, and both executors lower that normal form.
 
 Nodes are immutable; rewriting produces new trees via ``with_children``.
+Each node carries a cached structural ``fingerprint`` so that equal
+canonical subplans hash equal — what lets the DSMS share *subplans*
+between different registered queries.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Tuple
+from typing import ClassVar, Iterator, Tuple
 
 from ..core.timeset import TimeSet
 from ..errors import QueryError
-from ..geo.crs import CRS
-from ..geo.region import Region
+from ..geo.crs import CRS, spec_of
+from ..geo.region import BoundingBox, Region
 
 __all__ = [
     "QueryNode",
@@ -38,26 +44,73 @@ __all__ = [
     "RegionAgg",
     "walk",
     "count_nodes",
+    "source_ids",
+    "COMMUTATIVE_GAMMAS",
 ]
+
+# Compositions that commute pointwise; canonicalization may reorder their
+# children. 'mosaic' is excluded: first-wins semantics are order-sensitive.
+COMMUTATIVE_GAMMAS = frozenset({"+", "*", "sup", "inf"})
+
+
+def _token(value: object) -> str:
+    """Stable structural token for one node field value.
+
+    Region objects other than bounding boxes compare by identity, so they
+    are fingerprinted by identity too: two plans share a stage for them
+    only when they hold the *same* region object. That forgoes some
+    sharing but can never merge plans that are not equal.
+    """
+    if isinstance(value, QueryNode):
+        return value.fingerprint
+    if value is None or isinstance(value, (str, int, bool, float)):
+        return repr(value)
+    if isinstance(value, tuple):
+        return "(" + ",".join(_token(v) for v in value) + ")"
+    if isinstance(value, CRS):
+        # spec_of gives a content token for the standard projections; a
+        # bespoke CRS falls back to identity (sound, just never shared).
+        try:
+            return f"crs:{spec_of(value)}"
+        except Exception:
+            return f"crs:{type(value).__name__}@{id(value):x}"
+    if isinstance(value, BoundingBox):
+        return (
+            f"bbox({value.xmin!r},{value.ymin!r},{value.xmax!r},"
+            f"{value.ymax!r},{_token(value.crs)})"
+        )
+    if isinstance(value, Region):
+        return f"region:{type(value).__name__}@{id(value):x}"
+    if isinstance(value, TimeSet):
+        text = repr(value)
+        if " at 0x" in text:  # default object repr: not content-stable
+            return f"time:{type(value).__name__}@{id(value):x}"
+        return f"time:{text}"
+    return f"{type(value).__name__}@{id(value):x}"
+
+
+@functools.cache
+def _child_fields(cls: type[QueryNode]) -> tuple[str, ...]:
+    """Names of a node class's child slots (fields typed ``QueryNode``)."""
+    return tuple(f.name for f in fields(cls) if f.type == "QueryNode")
 
 
 @dataclass(frozen=True)
 class QueryNode:
     """Base class for all query expression nodes."""
 
+    # Fingerprint tag; None means the class name. The leaves hash as
+    # ``SourceScan``/``EmptyPlan``: fingerprints appear in EXPLAIN output,
+    # traces and provenance, and must not drift.
+    _tag: ClassVar[str | None] = None
+
     @property
     def children(self) -> Tuple["QueryNode", ...]:
-        return tuple(
-            getattr(self, f.name)
-            for f in fields(self)
-            if isinstance(getattr(self, f.name), QueryNode)
-        )
+        return tuple(getattr(self, name) for name in _child_fields(type(self)))
 
     def with_children(self, *children: "QueryNode") -> "QueryNode":
         """Copy of this node with its child slots replaced, in field order."""
-        child_fields = [
-            f.name for f in fields(self) if isinstance(getattr(self, f.name), QueryNode)
-        ]
+        child_fields = _child_fields(type(self))
         if len(children) != len(child_fields):
             raise QueryError(
                 f"{type(self).__name__} has {len(child_fields)} children, "
@@ -65,18 +118,34 @@ class QueryNode:
             )
         return replace(self, **dict(zip(child_fields, children)))
 
+    @property
+    def fingerprint(self) -> str:
+        """Structural hash: equal (canonical) subplans get equal digests."""
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            payload = ";".join(
+                [self._tag or type(self).__name__]
+                + [f"{f.name}={_token(getattr(self, f.name))}" for f in fields(self)]
+            )
+            cached = hashlib.blake2b(payload.encode(), digest_size=10).hexdigest()
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
+
     # -- pretty-printing -------------------------------------------------------
 
     def describe(self) -> str:
         """One-line operator description (overridden by subclasses)."""
         return type(self).__name__
 
-    def pretty(self, indent: int = 0) -> str:
+    def pretty(self, indent: int = 0, *, fingerprints: bool = False) -> str:
         """Indented tree rendering, used by EXPLAIN output."""
         pad = "  " * indent
-        lines = [f"{pad}{self.describe()}"]
+        line = f"{pad}{self.describe()}"
+        if fingerprints:
+            line += f"  #{self.fingerprint}"
+        lines = [line]
         for child in self.children:
-            lines.append(child.pretty(indent + 1))
+            lines.append(child.pretty(indent + 1, fingerprints=fingerprints))
         return "\n".join(lines)
 
 
@@ -84,10 +153,12 @@ class QueryNode:
 class StreamRef(QueryNode):
     """A reference to a registered source GeoStream (leaf)."""
 
+    _tag = "SourceScan"
+
     stream_id: str
 
     def describe(self) -> str:
-        return f"Stream({self.stream_id})"
+        return f"Scan({self.stream_id})"
 
 
 @dataclass(frozen=True)
@@ -99,6 +170,8 @@ class Empty(QueryNode):
     restriction over an empty time set. Registering such a query costs
     nothing at execution time.
     """
+
+    _tag = "EmptyPlan"
 
     reason: str = ""
 
@@ -233,14 +306,20 @@ class Compose(QueryNode):
 
     ``gamma`` is one of '+', '-', '*', '/', 'sup', 'inf', or the macro
     kernels 'ndvi' / 'evi2' which expand to their band-math definitions.
+    ``timestamp_policy`` is resolved by canonicalization (and is then part
+    of the fingerprint: two compositions only share a physical stage when
+    they also agree on how chunk timestamps are matched across sides).
     """
 
     left: QueryNode
     right: QueryNode
     gamma: str = "+"
+    timestamp_policy: str | None = None
 
     def describe(self) -> str:
-        return f"Compose({self.gamma})"
+        if self.timestamp_policy is None:
+            return f"Compose({self.gamma})"
+        return f"Compose({self.gamma}, match={self.timestamp_policy})"
 
 
 @dataclass(frozen=True)
@@ -278,3 +357,8 @@ def walk(node: QueryNode) -> Iterator[QueryNode]:
 
 def count_nodes(node: QueryNode) -> int:
     return sum(1 for _ in walk(node))
+
+
+def source_ids(node: QueryNode) -> list[str]:
+    """The source streams a tree reads, in first-reference order."""
+    return list(dict.fromkeys(n.stream_id for n in walk(node) if isinstance(n, StreamRef)))

@@ -4,7 +4,7 @@ The static cost model (:mod:`repro.query.cost`) predicts ``work`` in
 *point touches* — a unit, not a wall time. A :class:`CalibrationProfile`
 closes the loop: from accumulated :class:`~repro.obs.stats.StageStats`
 it fits one *seconds per point-touch* coefficient per operator kind
-(plan-node class name), so ``estimate_query``/``estimate_plan`` can
+(query-node class name), so ``estimate_query`` can
 price rewritings in measured seconds instead of seed guesses.
 
 The fit is a per-kind ratio estimator — ``Σ observed wall seconds /
@@ -32,7 +32,6 @@ __all__ = [
     "CalibrationSample",
     "CalibrationProfile",
     "DEFAULT_SECONDS_PER_UNIT",
-    "kind_of",
 ]
 
 # Seed guess before any run has been measured: one microsecond per point
@@ -40,16 +39,6 @@ __all__ = [
 # operators run orders of magnitude faster, which is exactly the gap
 # calibration closes.
 DEFAULT_SECONDS_PER_UNIT = 1e-6
-
-# AST node kinds and their plan-IR spellings share one ledger.
-_KIND_ALIASES = {"StreamRef": "SourceScan", "Empty": "EmptyPlan"}
-
-
-def kind_of(node: object) -> str:
-    """Calibration kind of an AST or plan node: its class name, unified."""
-    name = type(node).__name__
-    return _KIND_ALIASES.get(name, name)
-
 
 @dataclass(frozen=True)
 class CalibrationSample:
@@ -105,7 +94,7 @@ class CalibrationProfile:
 
     def cost_seconds(self, breakdown: Sequence) -> float:
         """Predicted wall seconds for a ``NodeCost`` breakdown (per frame)."""
-        return sum(self.seconds(kind_of(c.node), c.op_work) for c in breakdown)
+        return sum(self.seconds(type(c.node).__name__, c.op_work) for c in breakdown)
 
     @classmethod
     def uncalibrated(

@@ -46,7 +46,7 @@ from ..geo.crs import CRS
 from ..geo.region import BoundingBox, intersect_regions
 from . import ast as q
 
-__all__ = ["optimize", "OptimizeResult", "infer_crs"]
+__all__ = ["optimize", "OptimizeResult", "infer_crs", "fold_spatial", "fold_temporal"]
 
 
 @dataclass
@@ -78,6 +78,41 @@ def infer_crs(node: q.QueryNode, crs_of_stream: Mapping[str, CRS]) -> CRS | None
     return None
 
 
+def fold_spatial(node: q.QueryNode) -> q.QueryNode | None:
+    """Merge a spatial restriction into one directly below it (same CRS).
+
+    The one ``merge-spatial`` rule, shared by the optimizer and
+    canonicalization. Returns None when it does not apply.
+    """
+    if not (
+        isinstance(node, q.SpatialRestrict)
+        and isinstance(node.child, q.SpatialRestrict)
+    ):
+        return None
+    inner = node.child
+    if node.region.crs != inner.region.crs:
+        return None
+    if node.region is inner.region or node.region == inner.region:
+        return inner  # identical restriction twice
+    merged = intersect_regions(node.region, inner.region)
+    return q.SpatialRestrict(inner.child, merged)
+
+
+def fold_temporal(node: q.QueryNode) -> q.QueryNode | None:
+    """Merge a temporal restriction into one of the same kind below it."""
+    if not (
+        isinstance(node, q.TemporalRestrict)
+        and isinstance(node.child, q.TemporalRestrict)
+        and node.on_sector == node.child.on_sector
+    ):
+        return None
+    inner = node.child
+    if node.timeset == inner.timeset:
+        return inner
+    merged = intersect_timesets(node.timeset, inner.timeset)
+    return q.TemporalRestrict(inner.child, merged, node.on_sector)
+
+
 class _Rewriter:
     def __init__(
         self,
@@ -90,32 +125,8 @@ class _Rewriter:
 
     # -- individual rules; return a replacement node or None ------------------
 
-    def merge_spatial(self, node: q.QueryNode) -> q.QueryNode | None:
-        if not (
-            isinstance(node, q.SpatialRestrict)
-            and isinstance(node.child, q.SpatialRestrict)
-        ):
-            return None
-        inner = node.child
-        if node.region.crs != inner.region.crs:
-            return None
-        if node.region is inner.region or node.region == inner.region:
-            return inner  # identical restriction twice
-        merged = intersect_regions(node.region, inner.region)
-        return q.SpatialRestrict(inner.child, merged)
-
-    def merge_temporal(self, node: q.QueryNode) -> q.QueryNode | None:
-        if not (
-            isinstance(node, q.TemporalRestrict)
-            and isinstance(node.child, q.TemporalRestrict)
-            and node.on_sector == node.child.on_sector
-        ):
-            return None
-        inner = node.child
-        if node.timeset == inner.timeset:
-            return inner
-        merged = intersect_timesets(node.timeset, inner.timeset)
-        return q.TemporalRestrict(inner.child, merged, node.on_sector)
+    merge_spatial = staticmethod(fold_spatial)
+    merge_temporal = staticmethod(fold_temporal)
 
     @staticmethod
     def _pruned_below(subtree: q.QueryNode, box: BoundingBox) -> bool:
@@ -152,10 +163,9 @@ class _Rewriter:
 
         if isinstance(child, q.Compose):
             self._note("push-spatial-compose")
-            return q.Compose(
+            return child.with_children(
                 q.SpatialRestrict(child.left, region),
                 q.SpatialRestrict(child.right, region),
-                child.gamma,
             )
 
         if isinstance(child, q.Magnify):
@@ -220,10 +230,9 @@ class _Rewriter:
             )
         if isinstance(child, q.Compose):
             self._note("push-temporal-compose")
-            return q.Compose(
+            return child.with_children(
                 q.TemporalRestrict(child.left, node.timeset, node.on_sector),
                 q.TemporalRestrict(child.right, node.timeset, node.on_sector),
-                child.gamma,
             )
         return None
 

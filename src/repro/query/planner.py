@@ -1,11 +1,11 @@
 """Physical planning: lower a query tree onto operator pipelines.
 
-The planner is a thin lowering over the plan IR (``repro.plan``): the
-query tree is canonicalized — commutative compositions ordered, adjacent
-restrictions folded, regions resolved into their input CRS — and the
-canonical plan is turned into a lazy GeoStream with fresh operator
-instances per call (fresh so that concurrently registered queries never
-share mutable state). The push compiler lowers from the same IR, so
+The planner is a thin lowering over ``repro.plan``: the query tree is
+canonicalized — commutative compositions ordered, adjacent restrictions
+folded, regions resolved into their input CRS — and the canonical tree
+is turned into a lazy GeoStream with fresh operator instances per call
+(fresh so that concurrently registered queries never share mutable
+state). The DSMS push executor lowers the same canonical tree, so
 operator construction lives in exactly one place.
 """
 
@@ -45,18 +45,10 @@ def plan_query(
 
     # Resolve every referenced source up front: their CRSs and timestamp
     # policies feed canonicalization (and unknown streams fail early).
-    sources: dict[str, GeoStream] = {}
-    for ref in (n for n in q.walk(node) if isinstance(n, q.StreamRef)):
-        if ref.stream_id not in sources:
-            sources[ref.stream_id] = resolve(ref.stream_id)
+    sources = {sid: resolve(sid) for sid in q.source_ids(node)}
     plan = canonicalize(
         node,
         crs_of={sid: s.crs for sid, s in sources.items()},
         policy_of={sid: s.metadata.timestamp_policy for sid, s in sources.items()},
-        default_policy="measured",
     )
-    return plan_to_stream(
-        plan,
-        lambda sid: sources[sid] if sid in sources else resolve(sid),
-        columnar=columnar,
-    )
+    return plan_to_stream(plan, sources.__getitem__, columnar=columnar)

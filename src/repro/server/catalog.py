@@ -93,6 +93,9 @@ class StreamCatalog:
     def crs_of(self) -> Mapping[str, CRS]:
         return {sid: s.crs for sid, s in self._streams.items()}
 
+    def policy_of(self) -> Mapping[str, str]:
+        return {sid: s.metadata.timestamp_policy for sid, s in self._streams.items()}
+
     def profiles(self) -> dict[str, StreamProfile]:
         return {
             sid: StreamProfile.from_metadata(s.metadata, self._extents[sid])

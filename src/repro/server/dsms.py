@@ -32,18 +32,11 @@ from ..obs.timeline import current_journal, current_metric_store
 from ..obs.trace import FrameTrace, current_frame_tracer
 from ..operators.base import Operator
 from ..operators.delivery import DeliveredFrame
-from ..plan import (
-    EpochSwapResult,
-    PlanDAG,
-    PlanNode,
-    Stage,
-    canonicalize,
-    estimate_plan,
-    source_ids as plan_source_ids,
-)
+from ..plan import EpochSwapResult, PlanDAG, Stage, canonicalize
 from ..query import ast as q
 from ..query.adaptive import AdaptivePolicy
-from ..query.calibration import CalibrationSample, kind_of
+from ..query.calibration import CalibrationSample
+from ..query.cost import estimate_query
 from ..query.optimizer import optimize
 from ..query.parser import parse_query
 from .catalog import StreamCatalog
@@ -159,10 +152,10 @@ class _Fanout:
 @dataclass
 class _Registration:
     fanout: _Fanout
-    plan: PlanNode
+    plan: q.QueryNode
     stages: list[Stage]
     boxes: dict[str, BoundingBox | None]
-    sources: set[str]
+    sources: list[str]
     # The logical trees the registration was compiled from; re-planning
     # re-optimizes ``tree`` (the parsed original) from scratch.
     tree: q.QueryNode | None = None
@@ -178,7 +171,7 @@ class _PendingSwap:
     """A requested re-plan waiting for its registration's frame boundary."""
 
     reg_id: int
-    plan: PlanNode
+    plan: q.QueryNode
     optimized: q.QueryNode
     reason: str
     shed_pressure: float | None
@@ -301,10 +294,10 @@ class DSMSServer:
         else:
             text = query.pretty()
             tree = query
-        for ref in (n for n in q.walk(tree) if isinstance(n, q.StreamRef)):
-            if ref.stream_id not in self.catalog:
+        for sid in q.source_ids(tree):
+            if sid not in self.catalog:
                 raise ServerError(
-                    f"query references unknown stream {ref.stream_id!r}; "
+                    f"query references unknown stream {sid!r}; "
                     f"catalog has {self.catalog.ids()}"
                 )
         if self.optimize_queries:
@@ -323,9 +316,8 @@ class DSMSServer:
         # intro's "duplicated processes" collapse into a single execution
         # whose results fan out to every subscriber. Different queries
         # sharing only a plan prefix still share those stages below.
-        policy = self._common_timestamp_policy(optimized)
         plan = canonicalize(
-            optimized, crs_of=dict(self.catalog.crs_of()), default_policy=policy
+            optimized, crs_of=self.catalog.crs_of(), policy_of=self.catalog.policy_of()
         )
         shared = self._find_shared(plan)
         if shared is not None:
@@ -345,7 +337,7 @@ class DSMSServer:
         self._next_reg_id += 1
         stages = self.plan_dag.add_plan(plan, fanout, reg_id)
         registration = _Registration(
-            fanout, plan, stages, boxes, plan_source_ids(plan),
+            fanout, plan, stages, boxes, q.source_ids(plan),
             tree=tree, optimized=optimized,
         )
         self._registrations[reg_id] = registration
@@ -399,7 +391,7 @@ class DSMSServer:
 
         return check_server(self)
 
-    def _find_shared(self, plan: PlanNode) -> _Registration | None:
+    def _find_shared(self, plan: q.QueryNode) -> _Registration | None:
         for registration in self._registrations.values():
             if (
                 registration.plan.fingerprint == plan.fingerprint
@@ -407,14 +399,6 @@ class DSMSServer:
             ):
                 return registration
         return None
-
-    def _common_timestamp_policy(self, tree: q.QueryNode) -> str:
-        policies = {
-            self.catalog.get(n.stream_id).metadata.timestamp_policy
-            for n in q.walk(tree)
-            if isinstance(n, q.StreamRef)
-        }
-        return policies.pop() if len(policies) == 1 else "sector"  # default
 
     def _route(self, reg_id: int, boxes: dict[str, BoundingBox | None]) -> None:
         for stream_id, box in boxes.items():
@@ -549,11 +533,10 @@ class DSMSServer:
         tree = reg.tree if reg.tree is not None else reg.sessions[0].tree
         result = optimize(tree, self.catalog.crs_of())
         optimized = result.node
-        policy = self._common_timestamp_policy(optimized)
         plan = canonicalize(
-            optimized, crs_of=dict(self.catalog.crs_of()), default_policy=policy
+            optimized, crs_of=self.catalog.crs_of(), policy_of=self.catalog.policy_of()
         )
-        if set(plan_source_ids(plan)) != set(reg.sources):
+        if set(q.source_ids(plan)) != set(reg.sources):
             raise ServerError(
                 "re-planned query reads a different source set; a hot swap "
                 "must keep the same streams"
@@ -805,17 +788,17 @@ class DSMSServer:
     ) -> dict[str, float | None]:
         """Per-frame estimated work of each stage's *own* operator.
 
-        ``estimate_plan`` prices whole subplans; subtracting the direct
+        ``estimate_query`` prices whole subplans; subtracting the direct
         children's totals isolates the stage itself, matching how
         observed statistics are kept (one ledger per physical stage).
         """
         totals: dict[str, float | None] = {}
 
-        def total(node: PlanNode) -> float | None:
+        def total(node: q.QueryNode) -> float | None:
             fp = node.fingerprint
             if fp not in totals:
                 try:
-                    est, _ = estimate_plan(node, profiles)
+                    est, _ = estimate_query(node, profiles)
                     totals[fp] = est.work
                 except GeoStreamsError:
                     totals[fp] = None
@@ -835,11 +818,9 @@ class DSMSServer:
                 own[node.fingerprint] = max(0.0, whole - sum(children))
         return own
 
-    def _stage_frames(self, node: PlanNode, collector: StatsCollector) -> int:
+    def _stage_frames(self, node: q.QueryNode, collector: StatsCollector) -> int:
         """Frames of input this stage's subplan saw during the run."""
-        frames = [
-            collector.frames_scanned.get(sid, 0) for sid in plan_source_ids(node)
-        ]
+        frames = [collector.frames_scanned.get(sid, 0) for sid in q.source_ids(node)]
         return max(frames) if frames else 0
 
     def calibration_samples(
@@ -870,7 +851,7 @@ class DSMSServer:
                 continue
             samples.append(
                 CalibrationSample(
-                    kind=kind_of(stage.node),
+                    kind=type(stage.node).__name__,
                     work_units=work * frames,
                     wall_s=st.wall_s,
                 )
@@ -921,7 +902,7 @@ class DSMSServer:
             # over; pricing a DAG with a different mix means the profile
             # is stale for this plan — flag it rather than silently
             # falling back to the pooled coefficient.
-            live = {kind_of(stage.node) for stage in self.plan_dag.order}
+            live = {type(stage.node).__name__ for stage in self.plan_dag.order}
             unfitted, unused = calibration.stale_kinds(live)
             if unfitted or unused:
                 parts = []
@@ -967,8 +948,8 @@ class DSMSServer:
                 lines.append("      estimated: n/a (no stream profile)")
                 continue
             units = work * frames
-            pred_s = calibration.seconds(kind_of(node), units)
-            coef = calibration.coefficient(kind_of(node))
+            pred_s = calibration.seconds(type(node).__name__, units)
+            coef = calibration.coefficient(type(node).__name__)
             lines.append(
                 f"      estimated: {work:.0f} work units/frame x {frames} frames "
                 f"= {units:.0f} units -> {ms(pred_s)} "

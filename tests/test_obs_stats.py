@@ -25,10 +25,11 @@ from repro.obs.registry import ObservabilityError
 from repro.obs.slo import SLOMonitor, SLOPolicy
 from repro.obs.stats import Reservoir, format_lineage, lineage
 from repro.operators import AdaptiveLoadShedder
-from repro.plan import canonicalize, estimate_plan
+from repro.plan import canonicalize
 from repro.query import (
     CalibrationProfile,
     CalibrationSample,
+    estimate_query,
     optimize,
     parse_query,
     plan_query,
@@ -260,14 +261,14 @@ class TestCalibration:
         assert CalibrationProfile.uncalibrated().stale_kinds({"A"}) == (("A",), ())
         assert CalibrationProfile.uncalibrated().kinds == ()
 
-    def test_estimate_plan_prices_seconds_only_when_calibrated(self, catalog):
+    def test_estimate_prices_seconds_only_when_calibrated(self, catalog):
         crs_of = dict(catalog.crs_of())
         node = optimize(parse_query(Q_STRETCH), crs_of).node
         plan = canonicalize(node, crs_of=crs_of)
         profiles = catalog.profiles()
-        bare, _ = estimate_plan(plan, profiles)
+        bare, _ = estimate_query(plan, profiles)
         assert bare.seconds is None
-        est, _ = estimate_plan(
+        est, _ = estimate_query(
             plan, profiles, calibration=CalibrationProfile.uncalibrated()
         )
         assert est.seconds is not None and est.seconds > 0

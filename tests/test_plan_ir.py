@@ -1,9 +1,10 @@
-"""The plan IR: canonicalization, fingerprints, and lowering parity."""
+"""The one query tree: canonicalization, fingerprints, and lowering parity."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.core import TimeInterval, assemble_frames
 from repro.engine.scheduler import merge_sources
@@ -11,18 +12,18 @@ from repro.errors import PlanError
 from repro.geo import latlon
 from repro.plan import (
     PlanDAG,
-    SourceScan,
     build_composition,
     build_value_map,
     canonicalize,
-    estimate_plan,
-    nodes as p,
+    make_operator,
     plan_to_stream,
 )
 from repro.query import ast as q, plan_query
-from repro.server import compile_push_network
+from repro.query.cost import estimate_query
+from repro.query.parser import parse_query
 
 from .conftest import sector_subbox
+from .strategies import CRS_OF, tree_strategy
 
 
 def _scan(sid: str = "s") -> q.QueryNode:
@@ -45,7 +46,7 @@ class TestCanonicalization:
     def test_mosaic_not_reordered(self):
         # First-wins semantics: mosaic is order-sensitive.
         ab = canonicalize(q.Compose(_scan("a"), _scan("b"), "mosaic"))
-        assert isinstance(ab.left, SourceScan) and ab.left.stream_id == "a"
+        assert isinstance(ab.left, q.StreamRef) and ab.left.stream_id == "a"
 
     def test_value_map_defaults_normalized(self):
         bare = canonicalize(q.ValueMap(_scan(), "reflectance"))
@@ -56,17 +57,17 @@ class TestCanonicalization:
     def test_adjacent_value_restricts_fold(self):
         tree = q.ValueRestrict(q.ValueRestrict(_scan(), 0.0, 0.8), 0.2, None)
         plan = canonicalize(tree)
-        assert isinstance(plan, p.ValueRestrict)
+        assert isinstance(plan, q.ValueRestrict)
         assert plan.lo == 0.2 and plan.hi == 0.8
-        assert isinstance(plan.child, SourceScan)
+        assert isinstance(plan.child, q.StreamRef)
 
     def test_adjacent_temporal_restricts_fold(self):
         outer = TimeInterval(0.0, 100.0)
         inner = TimeInterval(50.0, 200.0)
         tree = q.TemporalRestrict(q.TemporalRestrict(_scan(), inner), outer)
         plan = canonicalize(tree)
-        assert isinstance(plan, p.TemporalRestrict)
-        assert isinstance(plan.child, SourceScan)
+        assert isinstance(plan, q.TemporalRestrict)
+        assert isinstance(plan.child, q.StreamRef)
         lo, hi = plan.timeset.bounds()
         assert (lo, hi) == (50.0, 100.0)
 
@@ -75,8 +76,8 @@ class TestCanonicalization:
         small = sector_subbox(small_imager, 0.2, 0.2, 0.6, 0.6)
         tree = q.SpatialRestrict(q.SpatialRestrict(_scan(), big), small)
         plan = canonicalize(tree)
-        assert isinstance(plan, p.SpatialRestrict)
-        assert isinstance(plan.child, SourceScan)
+        assert isinstance(plan, q.SpatialRestrict)
+        assert isinstance(plan.child, q.StreamRef)
 
     def test_duplicate_spatial_restriction_dedupes(self, small_imager):
         box = sector_subbox(small_imager, 0.1, 0.1, 0.5, 0.5)
@@ -102,30 +103,80 @@ class TestCanonicalization:
             policy_of={"a": "measured", "b": "sector"},
         )
         assert plan.timestamp_policy == "measured"
+        # A source missing from policy_of counts as "sector".
+        assert canonicalize(q.Compose(_scan("a"), _scan("b"), "-")).timestamp_policy == "sector"
 
     def test_policy_in_fingerprint(self):
         tree = q.Compose(_scan("a"), _scan("b"), "ndvi")
-        sector = canonicalize(tree, default_policy="sector")
-        measured = canonicalize(tree, default_policy="measured")
+        sector = canonicalize(tree, policy_of={"a": "sector"})
+        measured = canonicalize(tree, policy_of={"a": "measured"})
         assert sector.fingerprint != measured.fingerprint
 
-    def test_to_ast_round_trip(self, small_imager):
-        box = sector_subbox(small_imager, 0.1, 0.1, 0.9, 0.9)
-        tree = q.Stretch(
-            q.ValueMap(q.SpatialRestrict(_scan(), box), "reflectance", (("bits", 10.0),)),
-            "linear",
-        )
-        assert canonicalize(tree).to_ast() == tree
+    def test_inner_reorder_keeps_outer_policy(self):
+        # (a + b) - c: the inner + may reorder to (b, a); the outer
+        # composition still takes the leftmost source *as written*.
+        policies = {"a": "measured", "b": "sector", "c": "sector"}
+        for inner in (("a", "b"), ("b", "a")):
+            ab = q.Compose(_scan(inner[0]), _scan(inner[1]), "+")
+            plan = canonicalize(q.Compose(ab, _scan("c"), "-"), policy_of=policies)
+            assert plan.left.left.stream_id == "b"  # the reorder did happen
+            assert plan.timestamp_policy == policies[inner[0]]
 
-    def test_estimate_plan_matches_logical_estimate(self, catalog, small_imager):
-        from repro.query.cost import estimate_query
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tree=tree_strategy())
+    def test_canonicalize_is_idempotent(self, tree):
+        for crs_of in (None, CRS_OF):
+            plan = canonicalize(tree, crs_of=crs_of)
+            again = canonicalize(plan, crs_of=crs_of)
+            assert again == plan
+            assert again.fingerprint == plan.fingerprint
 
+    def test_canonical_estimate_matches_logical_estimate(self, catalog, small_imager):
         box = sector_subbox(small_imager, 0.2, 0.2, 0.7, 0.7)
         tree = q.ValueMap(q.SpatialRestrict(q.StreamRef("goes.vis"), box), "reflectance")
         plan = canonicalize(tree, crs_of=dict(catalog.crs_of()))
-        est, _ = estimate_plan(plan, catalog.profiles())
-        ref, _ = estimate_query(plan.to_ast(), catalog.profiles())
+        est, _ = estimate_query(plan, catalog.profiles())
+        ref, _ = estimate_query(tree, catalog.profiles())
         assert est.points == ref.points and est.work == ref.work
+
+
+class TestGoldenFingerprints:
+    """Fingerprints are the keys of EXPLAIN output, traces and provenance;
+    these digests (docs/architecture.md's worked example) must not drift."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "vrange(reflectance(goes.vis), 0.0, 0.6)",
+                ["bd24e2a596e834be7748", "dc86b50749ee6b3170b2", "00ec27cb3dca6a01f5d7"],
+            ),
+            (
+                "vrange(reflectance(goes.vis), 0.2, 0.9)",
+                ["db9cb3b865ad7cea6bce", "dc86b50749ee6b3170b2", "00ec27cb3dca6a01f5d7"],
+            ),
+            (
+                "stretch(ndvi(goes.nir, goes.vis), 'linear')",
+                [
+                    "697185b186878963fb1f",
+                    "1862d549008a59b104f1",
+                    "5f4bf8ad9f938ace5ba8",
+                    "00ec27cb3dca6a01f5d7",
+                ],
+            ),
+        ],
+    )
+    def test_pinned_fingerprints(self, catalog, text, expected):
+        plan = canonicalize(
+            parse_query(text),
+            crs_of=dict(catalog.crs_of()),
+            policy_of={sid: s.metadata.timestamp_policy for sid, s in catalog.items()},
+        )
+        assert [n.fingerprint for n in q.walk(plan)] == expected
 
 
 class TestOperatorTable:
@@ -158,11 +209,13 @@ class TestOperatorTable:
         ]
         for tree in cases:
             plan = canonicalize(tree)
-            assert plan.make_operator() is not None
+            assert make_operator(plan) is not None
 
     def test_leaves_have_no_operator(self):
         with pytest.raises(PlanError):
-            SourceScan("s").make_operator()
+            make_operator(q.StreamRef("s"))
+        with pytest.raises(PlanError):
+            make_operator(q.Empty("nothing"))
 
 
 class TestLoweringParity:
@@ -178,12 +231,11 @@ class TestLoweringParity:
         pull_frames = plan_query(tree, sources).collect_frames()
 
         received = []
-        network = compile_push_network(
-            tree, received.append, source_crs=dict(catalog.crs_of())
-        )
+        dag = PlanDAG()
+        dag.add_plan(canonicalize(tree, crs_of=catalog.crs_of()), received.append, root_id=0)
         for sid, chunk in merge_sources({"goes.vis": catalog.get("goes.vis")}):
-            network.feed(sid, chunk)
-        network.flush()
+            dag.feed(sid, chunk)
+        dag.flush()
         push_frames = list(assemble_frames(received))
         assert len(push_frames) == len(pull_frames)
         for a, b in zip(push_frames, pull_frames):

@@ -6,11 +6,11 @@ import pytest
 from repro.errors import PlanError, ProtocolError, ServerError
 from repro.geo import BoundingBox
 from repro.index import GridRegionIndex, NaiveRegionIndex
+from repro.plan import PlanDAG, canonicalize
 from repro.query import ast as q
 from repro.server import (
     DSMSServer,
     StreamCatalog,
-    compile_push_network,
     format_query_request,
     parse_request,
     source_prune_boxes,
@@ -79,29 +79,61 @@ class TestPushNetwork:
         pull_frames = plan_query(tree, sources).collect_frames()
 
         received = []
-        network = compile_push_network(tree, received.append)
+        dag = PlanDAG()
+        dag.add_plan(canonicalize(tree), received.append, root_id=0)
         from repro.engine.scheduler import merge_sources
 
         for sid, chunk in merge_sources(sources):
-            network.feed(sid, chunk)
-        network.flush()
+            dag.feed(sid, chunk)
+        dag.flush()
         push_frames = list(assemble_frames(received))
         assert len(push_frames) == len(pull_frames)
         for a, b in zip(push_frames, pull_frames):
             np.testing.assert_allclose(a.values, b.values, atol=1e-6, equal_nan=True)
 
     def test_feed_after_flush_rejected(self, small_imager, catalog):
-        network = compile_push_network(q.StreamRef("goes.vis"), lambda c: None)
-        network.flush()
+        dag = PlanDAG()
+        dag.add_plan(canonicalize(q.StreamRef("goes.vis")), lambda c: None, root_id=0)
+        dag.flush()
         chunk = catalog.get("goes.vis").collect_chunks(limit=1)[0]
         with pytest.raises(PlanError):
-            network.feed("goes.vis", chunk)
+            dag.feed("goes.vis", chunk)
 
     def test_source_ids(self):
         tree = q.Compose(q.StreamRef("a"), q.StreamRef("b"), "+")
-        network = compile_push_network(tree, lambda c: None)
-        assert network.source_ids == ["a", "b"]
+        dag = PlanDAG()
+        dag.add_plan(canonicalize(tree), lambda c: None, root_id=0)
+        assert dag.source_ids == ["a", "b"]
+        assert q.source_ids(tree) == ["a", "b"]
 
+    @pytest.mark.parametrize("left, right", [("goes.nirm", "goes.vis"), ("goes.vis", "goes.nirm")])
+    def test_mixed_policy_composition_matches_pull(self, small_imager, catalog, left, right):
+        """A composition over sources with different timestamp policies
+        resolves to the leftmost source's policy on both executors."""
+        from dataclasses import replace
+
+        from repro.core import GeoStream
+        from repro.query import plan_query
+
+        nir = catalog.get("goes.nir")
+        nirm = GeoStream(
+            replace(nir.metadata, stream_id="goes.nirm", timestamp_policy="measured"),
+            nir.chunks,
+        )
+        catalog.register(nirm, small_imager.sector_lattice.bbox)
+        tree = q.Compose(q.StreamRef(left), q.StreamRef(right), "ndvi")
+        sources = {sid: catalog.get(sid) for sid in catalog.ids()}
+        pull = plan_query(tree, sources)
+        pull_fingerprint = pull.pipeline_operators[-1].plan_fingerprint
+        pull_frames = pull.collect_frames()
+
+        server = DSMSServer(catalog)
+        session = server.register(f"ndvi({left}, {right})", encode_png=False)
+        server.run()
+        assert [s.node.fingerprint for s in server.plan_dag.order] == [pull_fingerprint]
+        assert len(session.frames) == len(pull_frames)
+        for a, b in zip(session.frames, pull_frames):
+            np.testing.assert_array_equal(a.image.values, b.values)
 
 class TestSourcePruneBoxes:
     def test_restriction_above_source(self, small_imager):

@@ -17,7 +17,7 @@ Rules:
   _private`` couples packages to names that are free to change; private
   helpers may only be imported within their own package.
 * **RL003 — fingerprinted nodes stay frozen.** Every dataclass in
-  ``repro/plan/nodes.py`` and ``repro/query/ast.py`` must declare
+  ``repro/query/ast.py`` (the one query tree) must declare
   ``frozen=True``: plan sharing keys on structural fingerprints cached
   per node, so a mutable node would silently corrupt the shared DAG.
 * **RL004 — obs registry mutations only under its lock.** Inside
@@ -78,7 +78,7 @@ TIMING_ALLOWED = (
     "src/repro/operators/delivery.py",
 )
 
-FROZEN_NODE_FILES = ("src/repro/plan/nodes.py", "src/repro/query/ast.py")
+FROZEN_NODE_FILES = ("src/repro/query/ast.py",)
 
 RANDOM_FORBIDDEN_PREFIX = "src/repro/faults/"
 
