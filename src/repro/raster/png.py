@@ -6,7 +6,7 @@ without external imaging libraries:
 
 * encoder for grayscale 8-bit, grayscale 16-bit, and RGB 8-bit images,
   with the five standard scanline filters and an adaptive per-scanline
-  filter chooser;
+  filter chooser, all evaluated over the whole frame at once;
 * decoder for the same color types, accepting any mix of filters
   (non-interlaced only — satellite products are not Adam7-interlaced).
 
@@ -40,45 +40,65 @@ def _chunk(tag: bytes, data: bytes) -> bytes:
 
 
 def _paeth_predictor(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vectorized Paeth predictor over int16 arrays."""
-    p = a.astype(np.int16) + b.astype(np.int16) - c.astype(np.int16)
-    pa = np.abs(p - a)
-    pb = np.abs(p - b)
-    pc = np.abs(p - c)
-    out = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return out.astype(np.uint8)
+    """Vectorized Paeth predictor over uint8 arrays of any shape.
+
+    With ``p = a + b - c`` the three distances reduce to ``|b - c|``,
+    ``|a - c|`` and ``|a + b - 2c|``, so only two int16 differences are
+    materialized.
+    """
+    bc = b.astype(np.int16) - c
+    ac = a.astype(np.int16) - c
+    pc = np.abs(bc + ac)
+    pa = np.abs(bc, out=bc)
+    pb = np.abs(ac, out=ac)
+    return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
 
 
-def _filter_scanline(
-    raw: np.ndarray, prev: np.ndarray, bpp: int, strategy: str
-) -> tuple[int, np.ndarray]:
-    """Filter one scanline, returning (filter_type, filtered_bytes)."""
-    left = np.zeros_like(raw)
-    left[bpp:] = raw[:-bpp]
-    up = prev
-    upleft = np.zeros_like(prev)
-    upleft[bpp:] = prev[:-bpp]
+def _shift_right(frame: np.ndarray, n: int) -> np.ndarray:
+    """``frame`` moved ``n`` bytes right along each row, zero-filled."""
+    out = np.zeros_like(frame)
+    out[:, n:] = frame[:, :-n]
+    return out
 
-    candidates: dict[str, np.ndarray] = {"none": raw}
-    candidates["sub"] = (raw.astype(np.int16) - left).astype(np.uint8)
-    candidates["up"] = (raw.astype(np.int16) - up).astype(np.uint8)
-    candidates["average"] = (
-        raw.astype(np.int16) - ((left.astype(np.int16) + up.astype(np.int16)) // 2)
-    ).astype(np.uint8)
-    candidates["paeth"] = (
-        raw.astype(np.int16) - _paeth_predictor(left, up, upleft)
-    ).astype(np.uint8)
 
+def _filter_frame(raw: np.ndarray, bpp: int, strategy: str) -> np.ndarray:
+    """Filter every scanline of the ``(h, stride)`` byte matrix at once.
+
+    Returns the ``(h, stride + 1)`` array zlib compresses: the filter
+    type in column 0 and the filtered bytes after it. Every predictor
+    reads the previous *raw* row, so each candidate is one whole-frame
+    expression; uint8 arithmetic wraps modulo 256 as the spec requires.
+    """
+    h, stride = raw.shape
+    up = np.zeros_like(raw)
+    up[1:] = raw[:-1]
+    left = _shift_right(raw, bpp)
+    # Indexed by filter type: none, sub, up, average, paeth.
+    predictors = (
+        lambda: 0,
+        lambda: left,
+        lambda: up,
+        lambda: (left & up) + ((left ^ up) >> 1),  # floor((a + b) / 2) in uint8
+        lambda: _paeth_predictor(left, up, _shift_right(up, bpp)),
+    )
+    out = np.empty((h, stride + 1), dtype=np.uint8)
     if strategy != "adaptive":
-        return FILTER_NAMES[strategy], candidates[strategy]
-    # Minimum-sum-of-absolute-differences heuristic from the PNG spec.
-    best_name, best_cost = "none", None
-    for name, data in candidates.items():
-        signed = data.astype(np.int16)
-        cost = int(np.abs(np.where(signed > 127, signed - 256, signed)).sum())
-        if best_cost is None or cost < best_cost:
-            best_name, best_cost = name, cost
-    return FILTER_NAMES[best_name], candidates[best_name]
+        ftype = FILTER_NAMES[strategy]
+        out[:, 0] = ftype
+        np.subtract(raw, predictors[ftype](), out=out[:, 1:])
+        return out
+    candidates = np.empty((len(predictors), h, stride), dtype=np.uint8)
+    for ftype, predict in enumerate(predictors):
+        np.subtract(raw, predict(), out=candidates[ftype])
+    # The PNG spec's heuristic: least sum of |signed byte| per row. For a
+    # byte d that magnitude is min(d, 256 - d), i.e. min(d, -d) in uint8.
+    # argmin keeps the first minimum, so ties go to the lowest filter type.
+    magnitude = np.negative(candidates)
+    np.minimum(candidates, magnitude, out=magnitude)
+    choice = magnitude.sum(axis=2, dtype=np.int64).argmin(axis=0)
+    out[:, 0] = choice
+    out[:, 1:] = candidates[choice, np.arange(h)]
+    return out
 
 
 def _classify(values: np.ndarray) -> tuple[int, int, int]:
@@ -126,16 +146,10 @@ def encode_png(
     stride = w * bpp
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(h, stride)
 
-    prev = np.zeros(stride, dtype=np.uint8)
-    lines = bytearray()
-    for r in range(h):
-        ftype, filtered = _filter_scanline(raw[r], prev, bpp, filter_strategy)
-        lines.append(ftype)
-        lines.extend(filtered.tobytes())
-        prev = raw[r]
+    lines = _filter_frame(raw, bpp, filter_strategy)
 
     ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, 0)
-    idat = zlib.compress(bytes(lines), compress_level)
+    idat = zlib.compress(lines, compress_level)
     return _SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 

@@ -57,12 +57,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["DSMSServer", "source_prune_boxes", "RouterStats", "EpochSwapRecord"]
 
 # Nodes a source-level pruning box may pass through unchanged: they keep
-# point geometry intact (values and timestamps may change freely).
+# point geometry intact (values and timestamps may change freely) and each
+# output point depends only on source points at the same location. A
+# ``Stretch`` is not one: it scales by statistics of the whole frame.
 _GEOMETRY_PRESERVING = (
     q.TemporalRestrict,
     q.ValueRestrict,
     q.ValueMap,
-    q.Stretch,
     q.TemporalAgg,
 )
 
@@ -72,8 +73,9 @@ def source_prune_boxes(node: q.QueryNode) -> dict[str, BoundingBox | None]:
 
     Walks the tree carrying the intersection of spatial restrictions seen
     on the path, resetting at geometry-changing operators (re-projection,
-    zooming, warps). A source mapped to ``None`` needs every chunk.
-    Multiple references to the same source union their boxes.
+    zooming, warps) and at frame-global ones (stretches). A source mapped
+    to ``None`` needs every chunk. Multiple references to the same source
+    union their boxes.
     """
     out: dict[str, BoundingBox | None] = {}
 

@@ -91,6 +91,24 @@ class TestPushNetwork:
         for a, b in zip(push_frames, pull_frames):
             np.testing.assert_allclose(a.values, b.values, atol=1e-6, equal_nan=True)
 
+    @pytest.mark.parametrize("kind", ["linear", "equalize", "gaussian"])
+    def test_unoptimized_restricted_stretch_matches_pull(self, small_imager, catalog, kind):
+        """Routing must not prune source rows a frame-global stretch reads
+        when the restriction sits above it (no optimizer to push it down)."""
+        from repro.query import parse_query, plan_query
+
+        region = subbox(small_imager, 0.2, 0.2, 0.6, 0.6)
+        text = f"within(stretch(reflectance(goes.nir), '{kind}'), {bbox_text(region)})"
+        sources = {sid: catalog.get(sid) for sid in catalog.ids()}
+        pull_frames = plan_query(parse_query(text), sources).collect_frames()
+
+        server = DSMSServer(catalog, optimize_queries=False)
+        session = server.register(text, encode_png=False)
+        server.run()
+        assert len(session.frames) == len(pull_frames) > 0
+        for a, b in zip(session.frames, pull_frames):
+            np.testing.assert_allclose(a.image.values, b.values, atol=1e-9, equal_nan=True)
+
     def test_feed_after_flush_rejected(self, small_imager, catalog):
         dag = PlanDAG()
         dag.add_plan(canonicalize(q.StreamRef("goes.vis")), lambda c: None, root_id=0)
@@ -144,12 +162,20 @@ class TestSourcePruneBoxes:
 
     def test_passes_through_geometry_preserving_ops(self, small_imager):
         region = subbox(small_imager, 0.1, 0.1, 0.5, 0.5)
+        tree = q.SpatialRestrict(q.ValueMap(q.StreamRef("goes.vis"), "negate"), region)
+        boxes = source_prune_boxes(tree)
+        assert boxes["goes.vis"] == region
+
+    def test_resets_below_frame_global_stretch(self, small_imager):
+        """A stretch scales by statistics of the whole frame, so source
+        rows outside the restriction still shape the rows inside it."""
+        region = subbox(small_imager, 0.1, 0.1, 0.5, 0.5)
         tree = q.SpatialRestrict(
             q.Stretch(q.ValueMap(q.StreamRef("goes.vis"), "negate"), "linear"),
             region,
         )
         boxes = source_prune_boxes(tree)
-        assert boxes["goes.vis"] is not None
+        assert boxes["goes.vis"] is None
 
     def test_distributes_over_compose(self, small_imager):
         region = subbox(small_imager, 0.1, 0.1, 0.5, 0.5)
