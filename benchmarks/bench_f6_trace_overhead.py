@@ -35,16 +35,17 @@ def run_scan(imager, rate):
     """One full DSMS scan; returns (points delivered, frames delivered)."""
     catalog = StreamCatalog()
     catalog.register_imager(imager)
-    if rate is not None:
-        obs.enable_frame_tracing(sample_rate=rate)
+    # A frame tracer alone, metrics off: the install is exactly the sink
+    # under test (observe() would also switch metrics on).
+    ftracer = obs.FrameTracer(sample_rate=rate) if rate is not None else None
+    prev = obs.install(obs.Observation(frame_tracer=ftracer))
     try:
         server = DSMSServer(catalog)
         session = server.register(QUERY, encode_png=False)
         server.run()
         return session.points_received, len(session.frames)
     finally:
-        if rate is not None:
-            obs.disable_frame_tracing()
+        obs.install(prev)
 
 
 def best_of(imager, rate, repeats=REPEATS):

@@ -64,7 +64,9 @@ def clean_run() -> None:
 
 def chaos_run():
     print("\n=== 2. chaos run: faults auto-pin traces ===")
-    ftracer = obs.enable_frame_tracing()  # manual install, no context manager
+    # Manual install, no context manager: a frame tracer alone, metrics off.
+    ftracer = obs.FrameTracer()
+    prev = obs.install(obs.Observation(frame_tracer=ftracer))
     try:
         spec = FaultSpec(seed=101, drop=0.08, bitflip=0.03)
         hardened, injector, ctx = harden_catalog(make_catalog(), spec)
@@ -91,7 +93,7 @@ def chaos_run():
             print(f"  [{flavor}] annotations: {list(t.annotations)}")
         return pinned
     finally:
-        obs.disable_frame_tracing()
+        obs.install(prev)
 
 
 def export(pinned) -> None:

@@ -412,57 +412,54 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     _, catalog = build_demo_catalog(args.seed, args.frames, *args.sector)
     catalog, fctx, finj = _maybe_harden(catalog, args)
-    with obs.observe(stats=True):
-        ftracer = obs.enable_frame_tracing(
-            sample_rate=args.sample_rate, capacity=args.keep
-        )
-        try:
-            slo = obs.SLOPolicy(max_lag_s=args.slo) if args.slo is not None else None
-            server = DSMSServer(catalog, recovery=fctx, slo=slo)
-            session = server.register(args.query)
-            with _fault_scope(fctx):
-                server.run()
-            if args.pinned_only:
-                traces = list(ftracer.recorder.pinned)
-            else:
-                traces = server.recent_traces(session)[-args.last :]
-                traces += [
-                    t for t in ftracer.recorder.pinned if t not in traces
-                ]
-            if not traces:
-                print(
-                    "no frame traces recorded"
-                    + (" (no pinned traces)" if args.pinned_only else "")
-                    + f"; sample rate was {args.sample_rate:g}"
-                )
-                return 1
-            for trace in traces:
-                print(obs.render_waterfall(trace))
-                print()
+    ftracer = obs.FrameTracer(
+        sample_rate=args.sample_rate, recorder=obs.FlightRecorder(args.keep)
+    )
+    with obs.observe(stats=True, frame_trace=ftracer):
+        slo = obs.SLOPolicy(max_lag_s=args.slo) if args.slo is not None else None
+        server = DSMSServer(catalog, recovery=fctx, slo=slo)
+        session = server.register(args.query)
+        with _fault_scope(fctx):
+            server.run()
+        if args.pinned_only:
+            traces = list(ftracer.recorder.pinned)
+        else:
+            traces = server.recent_traces(session)[-args.last :]
+            traces += [
+                t for t in ftracer.recorder.pinned if t not in traces
+            ]
+        if not traces:
             print(
-                f"flight recorder: {ftracer.recorder.recorded} recorded, "
-                f"{ftracer.recorder.evictions} evicted, "
-                f"{len(ftracer.recorder.pinned)} pinned; "
-                f"{ftracer.chunks_traced} chunks traced, "
-                f"{ftracer.chunks_sampled_out} sampled out"
+                "no frame traces recorded"
+                + (" (no pinned traces)" if args.pinned_only else "")
+                + f"; sample rate was {args.sample_rate:g}"
             )
-            if args.export_chrome is not None:
-                doc = obs.traces_to_chrome(traces)
-                pathlib.Path(args.export_chrome).write_text(
-                    json.dumps(doc, indent=1), encoding="utf-8"
-                )
-                print(
-                    f"wrote {len(doc['traceEvents'])} Chrome trace events "
-                    f"to {args.export_chrome} (open in chrome://tracing)"
-                )
-            if args.export_otlp is not None:
-                doc = obs.traces_to_otlp(traces)
-                pathlib.Path(args.export_otlp).write_text(
-                    json.dumps(doc, indent=1), encoding="utf-8"
-                )
-                print(f"wrote {len(traces)} OTLP resource spans to {args.export_otlp}")
-        finally:
-            obs.disable_frame_tracing()
+            return 1
+        for trace in traces:
+            print(obs.render_waterfall(trace))
+            print()
+        print(
+            f"flight recorder: {ftracer.recorder.recorded} recorded, "
+            f"{ftracer.recorder.evictions} evicted, "
+            f"{len(ftracer.recorder.pinned)} pinned; "
+            f"{ftracer.chunks_traced} chunks traced, "
+            f"{ftracer.chunks_sampled_out} sampled out"
+        )
+        if args.export_chrome is not None:
+            doc = obs.traces_to_chrome(traces)
+            pathlib.Path(args.export_chrome).write_text(
+                json.dumps(doc, indent=1), encoding="utf-8"
+            )
+            print(
+                f"wrote {len(doc['traceEvents'])} Chrome trace events "
+                f"to {args.export_chrome} (open in chrome://tracing)"
+            )
+        if args.export_otlp is not None:
+            doc = obs.traces_to_otlp(traces)
+            pathlib.Path(args.export_otlp).write_text(
+                json.dumps(doc, indent=1), encoding="utf-8"
+            )
+            print(f"wrote {len(traces)} OTLP resource spans to {args.export_otlp}")
     if finj is not None:
         _print_fault_summary(finj, fctx)
     return 0
@@ -541,7 +538,8 @@ def _metrics_self_test_body() -> None:
     # match the query's plan-DAG stages), and the recorder never grows
     # past its bound (a capacity-1 ring must evict, not accumulate).
     _, catalog = build_demo_catalog(n_frames=2, width=32, height=16)
-    ftracer = obs.enable_frame_tracing(capacity=1)
+    ftracer = obs.FrameTracer(recorder=obs.FlightRecorder(capacity=1))
+    prev = obs.install(obs.Observation(frame_tracer=ftracer))
     try:
         server = DSMSServer(catalog)
         session = server.register("reflectance(goes.vis)")
@@ -557,10 +555,11 @@ def _metrics_self_test_body() -> None:
         assert ftracer.recorder.evictions >= 1, "capacity-1 ring never evicted"
         assert len(server.recent_traces(session)) == 1, "ring kept more than capacity"
     finally:
-        obs.disable_frame_tracing()
+        obs.install(prev)
 
     # Sampling: rate 0.0 must trace nothing (and record nothing).
-    ftracer = obs.enable_frame_tracing(sample_rate=0.0)
+    ftracer = obs.FrameTracer(sample_rate=0.0)
+    prev = obs.install(obs.Observation(frame_tracer=ftracer))
     try:
         server = DSMSServer(catalog)
         session = server.register("reflectance(goes.vis)")
@@ -569,7 +568,7 @@ def _metrics_self_test_body() -> None:
         assert ftracer.recorder.recorded == 0, "rate-0 run recorded traces"
         assert ftracer.chunks_sampled_out > 0, "rate-0 run saw no chunks"
     finally:
-        obs.disable_frame_tracing()
+        obs.install(prev)
 
     # Timeline store invariants: ring capacity bound, strictly monotone
     # sample timestamps, rollup consistent with the raw ring contents,
@@ -636,9 +635,7 @@ def _metrics_self_test_body() -> None:
     obs.get_registry().reset()
     imager.stream("vis").pipe(Rescale(2.0)).count_points()
     assert len(obs.get_registry()) == 0, "disabled runs must not touch the registry"
-    assert obs.current_frame_tracer() is None, "frame tracer leaked out of self-test"
-    assert obs.current_metric_store() is None, "metric store leaked out of self-test"
-    assert obs.current_journal() is None, "journal leaked out of self-test"
+    assert obs.current() == obs.Observation(), "observability sinks leaked out of self-test"
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -706,7 +703,7 @@ def cmd_serve_telemetry(args: argparse.Namespace) -> int:
             print(
                 f"scan: {server.router_stats.chunks_scanned} chunks in {elapsed:.2f}s; "
                 f"{store.samples_taken} timeline samples, "
-                f"{len(obs.current_journal() or ())} journal events"
+                f"{len(obs.current().journal or ())} journal events"
             )
             if args.snapshot_out is not None:
                 out_dir = pathlib.Path(args.snapshot_out)

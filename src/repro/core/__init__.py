@@ -21,7 +21,6 @@ from .columnar import (
     RollingCanvas,
     columnar_default,
     coordinate_columns,
-    numpy_backend,
     resolve_columnar,
 )
 from .image import RasterImage, assemble_frames
@@ -67,7 +66,6 @@ __all__ = [
     "RollingCanvas",
     "columnar_default",
     "coordinate_columns",
-    "numpy_backend",
     "resolve_columnar",
     "RasterImage",
     "assemble_frames",

@@ -8,15 +8,9 @@ coordinates, values, and validity masks each live in one flat allocation
 — so whole frames and row bands are transformed by single batch
 operations.
 
-Two storage backends sit behind the same :class:`ColumnBuffer` API:
-
-* the default backend stores columns in :class:`array.array` objects and
-  exposes them to kernels as zero-copy ``memoryview``/``numpy`` views;
-* setting ``REPRO_NUMPY=1`` switches allocation to native numpy arrays
-  (one fewer indirection on platforms where that matters).
-
-Either way, every kernel *computes* through numpy views over the same
-bytes, which is what makes the oracle-equivalence contract exact: the
+A :class:`ColumnBuffer` is one zero-filled numpy allocation, and every
+kernel *computes* through flat numpy views over its bytes, which is what
+makes the oracle-equivalence contract exact: the
 columnar kernels perform the same elementwise float operations, in the
 same dtype and the same element order, as the per-point implementations
 they replace — delivered chunks are bit-identical, not approximately
@@ -33,14 +27,12 @@ This module is timing-free and mypy-strict; it never imports operators.
 from __future__ import annotations
 
 import os
-from array import array
 
 import numpy as np
 
 from .lattice import GridLattice
 
 __all__ = [
-    "numpy_backend",
     "columnar_default",
     "resolve_columnar",
     "ColumnBuffer",
@@ -51,9 +43,8 @@ __all__ = [
     "coordinate_columns",
 ]
 
-# Environment flags. Read per call (not cached at import) so test suites
+# Environment flag. Read per call (not cached at import) so test suites
 # can flip modes with monkeypatch.setenv without reload gymnastics.
-_NUMPY_ENV = "REPRO_NUMPY"
 _COLUMNAR_ENV = "REPRO_COLUMNAR"
 
 _FALSY = ("", "0", "false", "no", "off")
@@ -61,11 +52,6 @@ _FALSY = ("", "0", "false", "no", "off")
 
 def _env_flag(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() not in _FALSY
-
-
-def numpy_backend() -> bool:
-    """True when ``REPRO_NUMPY=1`` selects native ndarray column storage."""
-    return _env_flag(_NUMPY_ENV)
 
 
 def columnar_default() -> bool:
@@ -80,44 +66,19 @@ def resolve_columnar(explicit: bool | None = None) -> bool:
     return columnar_default()
 
 
-# numpy dtype -> array.array typecode for the stdlib storage backend.
-# Anything outside this table (e.g. float16) falls back to ndarray storage.
-_TYPECODES: dict[str, str] = {
-    "f4": "f",
-    "f8": "d",
-    "i1": "b",
-    "u1": "B",
-    "i2": "h",
-    "u2": "H",
-    "i4": "i",
-    "u4": "I",
-    "i8": "q",
-    "u8": "Q",
-}
-
-
 class ColumnBuffer:
     """One contiguous, fixed-capacity column of scalar values.
 
-    The storage is an :class:`array.array` (exposed zero-copy through a
-    ``memoryview``) or, with ``REPRO_NUMPY=1``, a native numpy array.
-    Kernels always read and write through :meth:`view`, a flat ndarray
-    aliasing the buffer's bytes, so arithmetic is identical across
-    backends.
+    The storage is a zero-filled numpy array; kernels read and write
+    through :meth:`view`, the flat ndarray itself.
     """
 
-    __slots__ = ("dtype", "capacity", "_store", "_view")
+    __slots__ = ("dtype", "capacity", "_view")
 
     def __init__(self, dtype: np.dtype | type, capacity: int) -> None:
         self.dtype = np.dtype(dtype)
         self.capacity = int(capacity)
-        code = _TYPECODES.get(self.dtype.str.lstrip("<>|=")) if not numpy_backend() else None
-        if code is None:
-            self._store: array | np.ndarray = np.zeros(self.capacity, dtype=self.dtype)
-            self._view = self._store
-        else:
-            self._store = array(code, bytes(self.capacity * self.dtype.itemsize))
-            self._view = np.frombuffer(memoryview(self._store), dtype=self.dtype)
+        self._view = np.zeros(self.capacity, dtype=self.dtype)
 
     def view(self) -> np.ndarray:
         """Flat zero-copy ndarray over the buffer's bytes."""

@@ -26,8 +26,9 @@ from ..core.columnar import resolve_columnar
 from ..core.stream import GeoStream
 from ..errors import StreamError
 from ..faults.recovery import current_recovery
+from ..obs.context import current
 from ..obs.probe import StageProbe, installed_sinks
-from ..obs.tracing import Span, current_tracer
+from ..obs.tracing import Span
 from ..operators.base import BinaryOperator, Operator
 
 __all__ = ["apply_operators", "compose_streams", "chunk_time", "iter_pipeline_operators"]
@@ -87,10 +88,10 @@ def _block_feed(chunks: Iterable[Chunk], op: Operator) -> Iterator[Chunk]:
 
 def _open_probe(op: Operator | BinaryOperator, span: Span | None) -> StageProbe | None:
     """The operator's probe for this open, or None when nothing observes it."""
-    sinks = installed_sinks()
-    if sinks is None:
+    ob = installed_sinks()
+    if ob is None:
         return None
-    return StageProbe.for_operator(op).bind(sinks, span)
+    return StageProbe.for_operator(op).bind(ob, span)
 
 
 def _feed(chunks: Iterable[Chunk], op: Operator, span: Span | None = None) -> Iterator[Chunk]:
@@ -158,7 +159,7 @@ def apply_operators(
         for op in operators:
             op.reset()
         it: Iterator[Chunk] = stream.chunks()
-        tracer = current_tracer()
+        tracer = current().tracer
         if tracer is None:
             for op in operators:
                 it = _feed(it, op)
@@ -206,7 +207,7 @@ def compose_streams(
         epoch = state["epoch"]
         operator.reset()
         li, ri = left.chunks(), right.chunks()
-        tracer = current_tracer()
+        tracer = current().tracer
         span = None
         if tracer is not None:
             lspan = tracer.span_for_stream(left)

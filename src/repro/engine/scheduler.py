@@ -17,7 +17,7 @@ from ..core.chunk import Chunk
 from ..core.stream import GeoStream
 from ..errors import RecoveryExhausted, SourceDisconnected
 from ..faults.recovery import current_recovery
-from ..obs.tracing import current_tracer
+from ..obs.context import current
 from .pipeline import chunk_time
 
 __all__ = ["merge_sources"]
@@ -45,7 +45,7 @@ def merge_sources(
     sources: Mapping[str, GeoStream],
 ) -> Iterator[tuple[str, Chunk]]:
     """Yield (stream_id, chunk) across all sources in timestamp order."""
-    tracer = current_tracer()
+    tracer = current().tracer
     span = (
         tracer.begin_span(
             "merge-sources", kind="scheduler", sources=sorted(sources)

@@ -42,9 +42,9 @@ import numpy as np
 from ..core.chunk import Chunk, GridChunk
 from ..core.stream import GeoStream
 from ..errors import SourceDisconnected
+from ..obs.context import current
 from ..obs.registry import get_registry, metrics_enabled
-from ..obs.timeline import current_journal
-from ..obs.trace import FrameTracer, current_frame_tracer
+from ..obs.trace import FrameTracer
 from .recovery import SimClock, SystemClock, current_recovery
 from .spec import FAULT_KINDS, FaultSpec
 
@@ -85,7 +85,7 @@ class FaultInjector:
         self.counts[kind] += 1
         if metrics_enabled():
             get_registry().counter("repro_faults_injected_total", kind=kind).inc()
-        journal = current_journal()
+        journal = current().journal
         if journal is not None:
             # Stamped with the injector's own (sim) clock and never the
             # tracer's state, so the journal is bit-identical whether or
@@ -152,7 +152,7 @@ class FaultInjector:
         # so reconnect-and-skip recovery is exact.
         rng = random.Random(seed)
         # Frame-trace annotation hook: fetched once per open, rng-free.
-        ftr = current_frame_tracer()
+        ftr = current().frame_tracer
         disconnecting = open_no <= spec.disconnect
         survive = spec.disconnect_after * open_no
         yielded = 0

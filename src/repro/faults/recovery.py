@@ -51,9 +51,8 @@ from ..core.chunk import Chunk, GridChunk
 from ..core.stream import GeoStream
 from ..core.valueset import ValueSet
 from ..errors import GeoStreamsError, RecoveryExhausted, SourceDisconnected
+from ..obs.context import current
 from ..obs.registry import get_registry, metrics_enabled
-from ..obs.timeline import current_journal
-from ..obs.trace import current_frame_tracer
 from ..operators.base import BinaryOperator, Operator
 
 __all__ = [
@@ -233,7 +232,8 @@ class RecoveryContext:
         self, item: object, reason: str, stage: str = "", error: Exception | None = None
     ) -> None:
         self.dead_letter.add(item, reason, stage, str(error) if error else "")
-        journal = current_journal()
+        ob = current()
+        journal = ob.journal
         if journal is not None:
             # Same string the flight recorder pins with, so the journal
             # entry clicks through to the quarantined frame's capture.
@@ -243,7 +243,7 @@ class RecoveryContext:
                 link=f"recovery:quarantined:{reason}",
                 t=self.clock.now(),
             )
-        ftr = current_frame_tracer()
+        ftr = ob.frame_tracer
         if ftr is not None:
             tctx = getattr(item, "trace", None)
             if tctx is not None:
@@ -292,7 +292,7 @@ class RecoveryContext:
             registry = get_registry()
             registry.counter("repro_faults_retries_total", stream=stream_id).inc()
             registry.gauge("repro_faults_backoff_seconds", stream=stream_id).set(delay)
-        journal = current_journal()
+        journal = current().journal
         if journal is not None:
             # "recovery:reconnect" is a prefix of the resilient stream's
             # trace annotation, so captures() can match the pinned frame.
@@ -309,7 +309,7 @@ class RecoveryContext:
             get_registry().counter(
                 "repro_faults_recovery_exhausted_total", stream=stream_id
             ).inc()
-        journal = current_journal()
+        journal = current().journal
         if journal is not None:
             journal.append(
                 "recovery-exhausted",
@@ -321,7 +321,7 @@ class RecoveryContext:
         self.stalls_observed += 1
         if metrics_enabled():
             get_registry().counter("repro_faults_stalls_total").inc()
-        journal = current_journal()
+        journal = current().journal
         if journal is not None:
             journal.append("stall", t=self.clock.now())
 
@@ -437,7 +437,7 @@ def _resilient_iter(
                 ctx.note_retry(sid, delay)
             elif metrics_enabled():
                 get_registry().counter("repro_faults_retries_total", stream=sid).inc()
-            ftr = current_frame_tracer()
+            ftr = current().frame_tracer
             if ftr is not None:
                 # The next chunks admitted from this stream carry the
                 # reconnect in their trace annotations.

@@ -10,17 +10,17 @@ benchmark snapshot hook all go through this)::
     lines = obs.snapshot_lines(reports, tracer=ob.tracer, registry=ob.registry)
     obs.write_jsonl("run.jsonl", lines)
 
-Everything is off by default: the engine's hot paths check
-:func:`metrics_enabled` / :func:`current_tracer` and do no registry or
-span work when observability is disabled. See docs/observability.md.
+Everything is off by default: the engine's hot paths read the one
+installed :class:`Observation` (:func:`current`) and do no registry or
+span work while its sinks are None. See docs/observability.md.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, TypeVar
 
+from .context import Observation, current, install
 from .export import (
     collect_run,
     normalize_spans,
@@ -39,11 +39,8 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     ObservabilityError,
-    disable_metrics,
-    enable_metrics,
     get_registry,
     metrics_enabled,
-    set_registry,
 )
 from .slo import SLOBreach, SLOMonitor, SLOPolicy
 from .timeline import (
@@ -55,20 +52,11 @@ from .timeline import (
     MetricStore,
     QueryHealth,
     Rollup,
-    clear_journal,
-    clear_metric_store,
-    current_journal,
-    current_metric_store,
-    install_journal,
-    install_metric_store,
 )
 from .stats import (
     Reservoir,
     StageStats,
     StatsCollector,
-    current_collector,
-    disable_stats,
-    enable_stats,
     format_lineage,
     lineage,
 )
@@ -78,14 +66,11 @@ from .trace import (
     FrameTrace,
     FrameTracer,
     TraceContext,
-    current_frame_tracer,
-    disable_frame_tracing,
-    enable_frame_tracing,
     hop_tree,
     render_waterfall,
     trace_source,
 )
-from .tracing import Span, Tracer, current_tracer, disable_tracing, enable_tracing
+from .tracing import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -96,15 +81,9 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "LATENCY_BUCKETS",
     "get_registry",
-    "set_registry",
     "metrics_enabled",
-    "enable_metrics",
-    "disable_metrics",
     "Span",
     "Tracer",
-    "current_tracer",
-    "enable_tracing",
-    "disable_tracing",
     "collect_run",
     "snapshot_lines",
     "to_prometheus",
@@ -117,18 +96,12 @@ __all__ = [
     "FrameTrace",
     "FrameTracer",
     "FlightRecorder",
-    "current_frame_tracer",
-    "enable_frame_tracing",
-    "disable_frame_tracing",
     "trace_source",
     "hop_tree",
     "render_waterfall",
     "Reservoir",
     "StageStats",
     "StatsCollector",
-    "current_collector",
-    "enable_stats",
-    "disable_stats",
     "lineage",
     "format_lineage",
     "SLOPolicy",
@@ -142,116 +115,69 @@ __all__ = [
     "HealthPolicy",
     "HealthReport",
     "QueryHealth",
-    "current_metric_store",
-    "install_metric_store",
-    "clear_metric_store",
-    "current_journal",
-    "install_journal",
-    "clear_journal",
     "register_build_info",
     "Observation",
+    "current",
+    "install",
     "observe",
 ]
 
 
-@dataclass
-class Observation:
-    """Handles to the registry/tracer/stats active inside ``observe()``."""
+_S = TypeVar("_S")
 
-    registry: MetricsRegistry
-    tracer: Optional[Tracer]
-    stats: Optional[StatsCollector] = None
-    frame_tracer: Optional[FrameTracer] = None
-    store: Optional[MetricStore] = None
-    journal: Optional[EventJournal] = None
+
+def _sink(arg: object, outer: _S | None, fresh: Callable[[], _S]) -> _S | None:
+    """False inherits ``outer``, True makes a fresh sink, else ``arg`` is one."""
+    if arg is False:
+        return outer
+    if arg is True:
+        return fresh()
+    return arg  # type: ignore[return-value]
 
 
 @contextlib.contextmanager
 def observe(
-    trace: bool = False,
+    trace: bool | Tracer = False,
     reset: bool = True,
-    stats: bool = False,
-    frame_trace: bool | float = False,
+    stats: bool | StatsCollector = False,
+    frame_trace: bool | float | FrameTracer = False,
     store: bool | MetricStore = False,
     journal: bool | EventJournal = False,
 ) -> Iterator[Observation]:
     """Enable metrics (and optionally tracing/stage stats) for a block.
 
     Resets the process registry on entry by default so each observed run
-    starts from clean counters, and restores the previous enabled/tracer/
-    collector state on exit — nesting and test isolation both work. With
-    ``stats=True`` a :class:`StatsCollector` is installed, so DAG stages
-    accumulate :class:`StageStats` and chunks carry provenance tags. With
-    ``frame_trace=True`` (or a 0..1 head-sampling rate) a
-    :class:`FrameTracer` with a :class:`FlightRecorder` is installed, so
-    delivered frames carry end-to-end :class:`FrameTrace` waterfalls.
-    With ``store=True`` (or a preconfigured :class:`MetricStore`) the
-    DSMS samples the registry into rolling time-series rings on its
-    logical-clock cadence; with ``journal=True`` (or an
-    :class:`EventJournal`) operational events — SLO edges, epoch swaps,
-    faults, shed escalations, dead letters — land in one bounded ring.
+    starts from clean counters, installs an :class:`Observation` derived
+    from the current one, and reinstalls the previous observation on exit
+    — nesting and test isolation both work. Each sink argument takes
+    False (inherit the outer block's sink), True (a fresh default one),
+    or a ready instance. With ``stats`` a :class:`StatsCollector` is
+    installed, so DAG stages accumulate :class:`StageStats` and chunks
+    carry provenance tags. With ``frame_trace`` (True, a 0..1
+    head-sampling rate, or a :class:`FrameTracer`) delivered frames carry
+    end-to-end :class:`FrameTrace` waterfalls kept by a
+    :class:`FlightRecorder`. With ``store`` the DSMS samples the registry
+    into rolling :class:`MetricStore` time-series rings on its
+    logical-clock cadence; with ``journal`` operational events — SLO
+    edges, epoch swaps, faults, shed escalations, dead letters — land in
+    one bounded :class:`EventJournal`.
     """
     registry = get_registry()
-    was_enabled = metrics_enabled()
-    previous_tracer = current_tracer()
-    previous_collector = current_collector()
-    previous_ftracer = current_frame_tracer()
-    previous_store = current_metric_store()
-    previous_journal = current_journal()
     if reset:
         registry.reset()
-    enable_metrics()
-    tracer = enable_tracing(Tracer(registry)) if trace else previous_tracer
-    collector = enable_stats() if stats else previous_collector
-    if frame_trace is not False:
-        rate = 1.0 if frame_trace is True else float(frame_trace)
-        ftracer = enable_frame_tracing(sample_rate=rate)
-    else:
-        ftracer = previous_ftracer
-    if store is not False:
-        metric_store = install_metric_store(store if isinstance(store, MetricStore) else None)
-    else:
-        metric_store = previous_store
-    if journal is not False:
-        event_journal = install_journal(
-            journal if isinstance(journal, EventJournal) else None
-        )
-    else:
-        event_journal = previous_journal
+    prev = current()
+    if not isinstance(frame_trace, (bool, FrameTracer)):
+        frame_trace = FrameTracer(sample_rate=float(frame_trace))
+    ob = Observation(
+        registry=registry,
+        tracer=_sink(trace, prev.tracer, lambda: Tracer(registry)),
+        stats=_sink(stats, prev.stats, StatsCollector),
+        frame_tracer=_sink(frame_trace, prev.frame_tracer, FrameTracer),
+        store=_sink(store, prev.store, MetricStore),
+        journal=_sink(journal, prev.journal, EventJournal),
+    )
+    install(ob)
     try:
-        yield Observation(
-            registry=registry,
-            tracer=tracer,
-            stats=collector,
-            frame_tracer=ftracer,
-            store=metric_store,
-            journal=event_journal,
-        )
+        yield ob
     finally:
-        if not was_enabled:
-            disable_metrics()
-        if trace:
-            if previous_tracer is None:
-                disable_tracing()
-            else:
-                enable_tracing(previous_tracer)
-        if stats:
-            if previous_collector is None:
-                disable_stats()
-            else:
-                enable_stats(previous_collector)
-        if frame_trace is not False:
-            if previous_ftracer is None:
-                disable_frame_tracing()
-            else:
-                enable_frame_tracing(previous_ftracer)
-        if store is not False:
-            if previous_store is None:
-                clear_metric_store()
-            else:
-                install_metric_store(previous_store)
-        if journal is not False:
-            if previous_journal is None:
-                clear_journal()
-            else:
-                install_journal(previous_journal)
+        install(prev)

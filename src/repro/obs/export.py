@@ -35,9 +35,10 @@ import time
 from dataclasses import asdict, is_dataclass
 from typing import Iterable, Optional, Sequence
 
+from .context import current
 from .registry import MetricsRegistry, get_registry
 from .trace import FrameHop, FrameTrace, hop_tree, span_id_for
-from .tracing import Tracer, current_tracer
+from .tracing import Tracer
 
 __all__ = [
     "collect_run",
@@ -116,7 +117,7 @@ def collect_run(
     JSON.
     """
     if tracer is None:
-        tracer = current_tracer()
+        tracer = current().tracer
     if registry is None:
         registry = get_registry()
     return {

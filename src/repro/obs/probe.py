@@ -9,7 +9,8 @@ the provenance tag, and the frame-trace hop. Both executors therefore
 report identical counters for the same work.
 
 Executors ask :func:`installed_sinks` whether a step needs a probe at
-all. When it returns None the executor runs the operator untimed: no
+all; it returns the installed :class:`~repro.obs.context.Observation`
+or None. When it returns None the executor runs the operator untimed: no
 ``perf_counter``, no allocation. Otherwise it times the step itself and
 hands the outputs to :meth:`StageProbe.step`. Span *parenting* stays with
 the executor (push parents on the consumer stage, pull on the upstream
@@ -19,13 +20,11 @@ stream); the executor passes the opened span in.
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING
 
 from ..core.chunk import Chunk, chunk_time
 from ..core.provenance import Provenance
-from . import stats as _stats
-from . import trace as _trace
-from . import tracing as _tracing
+from .context import Observation, current
 from .stats import StageStats, StatsCollector
 from .trace import FrameTracer, TraceContext
 from .tracing import Span, Tracer
@@ -33,13 +32,10 @@ from .tracing import Span, Tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..operators.base import BinaryOperator, Operator
 
-__all__ = ["StageProbe", "Sinks", "installed_sinks"]
-
-#: The installed (span tracer, stats collector, frame tracer).
-Sinks = Tuple[Optional[Tracer], Optional[StatsCollector], Optional[FrameTracer]]
+__all__ = ["StageProbe", "installed_sinks"]
 
 
-def installed_sinks(traced: bool = True) -> Sinks | None:
+def installed_sinks(traced: bool = True) -> Observation | None:
     """The sinks one step must feed, or None for the untimed fast path.
 
     ``traced`` says whether the step carries a frame-trace context (an
@@ -47,12 +43,10 @@ def installed_sinks(traced: bool = True) -> Sinks | None:
     holds at flush). A frame tracer alone needs nothing from an untraced
     step: sampling already happened at the source.
     """
-    tracer = _tracing._tracer
-    collector = _stats._collector
-    ftracer = _trace._frame_tracer
-    if tracer is None and collector is None and (ftracer is None or not traced):
+    ob = current()
+    if ob.tracer is None and ob.stats is None and (ob.frame_tracer is None or not traced):
         return None
-    return tracer, collector, ftracer
+    return ob
 
 
 class StageProbe:
@@ -100,14 +94,15 @@ class StageProbe:
             hop_kind="stage" if fp else "pull",
         )
 
-    def bind(self, sinks: Sinks, span: Span | None) -> "StageProbe":
+    def bind(self, ob: Observation, span: Span | None) -> "StageProbe":
         """Point the probe at the installed sinks (cheap when unchanged).
 
         The span tracer counts only when the executor opened ``span``.
         """
-        tracer, collector, ftracer = sinks
+        collector = ob.stats
+        ftracer = ob.frame_tracer
         self.span = span
-        self.tracer = tracer if span is not None else None
+        self.tracer = ob.tracer if span is not None else None
         if collector is not self.collector:
             self.collector = collector
             self.stats = (

@@ -8,7 +8,8 @@ identified by ``(name, labels)`` so e.g. per-session delivery-lag
 histograms coexist under one metric name, Prometheus-style.
 
 Publishing is *opt-in*: every instrumented hot path first checks
-:func:`metrics_enabled` (a module-global flag) and performs zero registry
+:func:`metrics_enabled` (is a registry set in the installed
+:class:`~repro.obs.context.Observation`?) and performs zero registry
 work when observability is off — the acceptance bar for this subsystem is
 that disabled tracing costs nothing beyond that check.
 """
@@ -19,6 +20,7 @@ import threading
 from typing import Iterator, Mapping, Sequence
 
 from ..errors import GeoStreamsError
+from .context import current
 
 __all__ = [
     "ObservabilityError",
@@ -29,10 +31,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "LATENCY_BUCKETS",
     "get_registry",
-    "set_registry",
     "metrics_enabled",
-    "enable_metrics",
-    "disable_metrics",
 ]
 
 
@@ -326,10 +325,9 @@ class MetricsRegistry:
         return [m.snapshot() for m in self]
 
 
-# -- process-local default registry and the global on/off switch ---------------
+# -- process-local default registry -------------------------------------------
 
 _registry = MetricsRegistry()
-_enabled = False
 
 
 def get_registry() -> MetricsRegistry:
@@ -337,27 +335,6 @@ def get_registry() -> MetricsRegistry:
     return _registry
 
 
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-local registry (returns the previous one)."""
-    global _registry
-    if not isinstance(registry, MetricsRegistry):
-        raise ObservabilityError("set_registry expects a MetricsRegistry")
-    previous = _registry
-    _registry = registry
-    return previous
-
-
 def metrics_enabled() -> bool:
     """Cheap hot-path guard: instrumented code publishes only when True."""
-    return _enabled
-
-
-def enable_metrics() -> MetricsRegistry:
-    global _enabled
-    _enabled = True
-    return _registry
-
-
-def disable_metrics() -> None:
-    global _enabled
-    _enabled = False
+    return current().registry is not None

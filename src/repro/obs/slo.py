@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .context import current
 from .registry import get_registry, metrics_enabled
-from .timeline import current_journal
-from .trace import current_frame_tracer
 
 __all__ = ["SLOPolicy", "SLOBreach", "SLOMonitor"]
 
@@ -130,7 +129,8 @@ class SLOMonitor:
                     state.breached = False
                     state.healthy_streak = 0
                     self._publish(query, lag, state)
-                    journal = current_journal()
+                    ob = current()
+                    journal = ob.journal
                     if journal is not None:
                         journal.append(
                             "slo-recover",
@@ -139,7 +139,7 @@ class SLOMonitor:
                             f"{self.policy.max_lag_s:g}s",
                             t=stream_t,
                         )
-                    ftracer = current_frame_tracer()
+                    ftracer = ob.frame_tracer
                     if ftracer is not None:
                         ftracer.on_recover(query)
             return None
@@ -160,12 +160,13 @@ class SLOMonitor:
         if metrics_enabled():
             get_registry().counter("repro_slo_breaches_total", query=query).inc()
         edge = f"slo-breach:{kind}-lag:{lag:.3f}s>{self.policy.max_lag_s:g}s"
-        journal = current_journal()
+        ob = current()
+        journal = ob.journal
         if journal is not None:
             # The link doubles as the flight-recorder pin reason so the
             # journal entry clicks through to the pinned capture.
             journal.append("slo-breach", query=query, reason=edge, link=edge, t=stream_t)
-        ftracer = current_frame_tracer()
+        ftracer = ob.frame_tracer
         if ftracer is not None:
             # Auto-pin the breaching query's latest frame trace and force
             # sampling on until the monitor declares it healthy again.

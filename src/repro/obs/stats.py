@@ -29,9 +29,6 @@ __all__ = [
     "Reservoir",
     "StageStats",
     "StatsCollector",
-    "current_collector",
-    "enable_stats",
-    "disable_stats",
     "lineage",
     "format_lineage",
 ]
@@ -246,27 +243,6 @@ class StatsCollector:
             self._stages.clear()
             self.scans.clear()
             self.frames_scanned.clear()
-
-
-# -- process-local collector, mirroring the metrics on/off switch ---------------
-
-_collector: StatsCollector | None = None
-
-
-def current_collector() -> StatsCollector | None:
-    """Hot-path guard: stage statistics are recorded only when not None."""
-    return _collector
-
-
-def enable_stats(collector: StatsCollector | None = None) -> StatsCollector:
-    global _collector
-    _collector = collector if collector is not None else StatsCollector()
-    return _collector
-
-
-def disable_stats() -> None:
-    global _collector
-    _collector = None
 
 
 # -- lineage queries ------------------------------------------------------------

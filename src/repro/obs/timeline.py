@@ -21,10 +21,16 @@ operable system:
   per-query and server-level ``healthy/degraded/unhealthy`` verdicts
   with explained reasons.
 
-Installation mirrors the tracer/collector pattern: module-global
-:func:`current_metric_store` / :func:`current_journal` are fetched once
-per run by the DSMS, and with nothing installed the fast path pays one
-``None`` check per chunk — no sampling, no allocation, no clock reads.
+The store and journal are installed as fields of the one
+:class:`~repro.obs.context.Observation`; the DSMS reads it once per run,
+and with neither installed the fast path pays one ``None`` check per
+chunk — no sampling, no allocation, no clock reads.
+
+Concurrency contract: one writer (the run loop) appends without taking a
+lock, while telemetry threads read. Every reader therefore takes one
+C-level copy of a live ring or table (``tuple(deque)``,
+``tuple(d.values())``) before iterating it, so a read never walks a
+structure the writer is mutating.
 
 Determinism contract (enforced by ``repro_lint`` RL007): this module
 never reads a wall clock. Every timestamp is a *logical* time passed in
@@ -37,8 +43,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
+from .context import current
 from .registry import (
     Counter,
     Gauge,
@@ -61,12 +68,6 @@ __all__ = [
     "QueryHealth",
     "HealthReport",
     "HealthModel",
-    "current_metric_store",
-    "install_metric_store",
-    "clear_metric_store",
-    "current_journal",
-    "install_journal",
-    "clear_journal",
     "VERDICT_HEALTHY",
     "VERDICT_DEGRADED",
     "VERDICT_UNHEALTHY",
@@ -146,6 +147,38 @@ class Rollup:
             "max": self.vmax,
             "p99": self.p99,
         }
+
+
+def _rollup(
+    name: str,
+    labels: Mapping[str, object],
+    points: Sequence[tuple[float, float]],
+    window: int | None,
+) -> Rollup | None:
+    """Aggregate the last ``window`` of ``points`` (None = all of them)."""
+    if not points:
+        return None
+    if window is not None:
+        if window <= 0:
+            raise ObservabilityError(f"rollup window must be positive, got {window}")
+        points = points[-window:]
+    times = [t for t, _ in points]
+    values = [v for _, v in points]
+    delta = values[-1] - values[0]
+    span = times[-1] - times[0]
+    return Rollup(
+        name=name,
+        labels={k: str(v) for k, v in labels.items()},
+        window=len(points),
+        first_t=times[0],
+        last_t=times[-1],
+        delta=delta,
+        rate=(delta / span) if span > 0 else 0.0,
+        vmin=min(values),
+        mean=sum(values) / len(values),
+        vmax=max(values),
+        p99=_quantile(values, 0.99),
+    )
 
 
 class _Series:
@@ -277,7 +310,7 @@ class MetricStore:
         return len(self._series)
 
     def keys(self) -> list[SeriesKey]:
-        return [s.key for s in self._series.values()]
+        return [s.key for s in tuple(self._series.values())]
 
     def series(self, name: str, **labels: object) -> list[tuple[float, float]]:
         """The stored (logical_t, value) points of one series, oldest first."""
@@ -285,36 +318,13 @@ class MetricStore:
         return list(found.points) if found is not None else []
 
     def matching(self, name: str) -> list[_Series]:
-        return [s for s in self._series.values() if s.key.name == name]
+        return [s for s in tuple(self._series.values()) if s.key.name == name]
 
     def rollup(
         self, name: str, window: int | None = None, **labels: object
     ) -> Rollup | None:
         """Aggregate the last ``window`` samples of one series (None = all)."""
-        points = self.series(name, **labels)
-        if not points:
-            return None
-        if window is not None:
-            if window <= 0:
-                raise ObservabilityError(f"rollup window must be positive, got {window}")
-            points = points[-window:]
-        times = [t for t, _ in points]
-        values = [v for _, v in points]
-        delta = values[-1] - values[0]
-        span = times[-1] - times[0]
-        return Rollup(
-            name=name,
-            labels={k: str(v) for k, v in labels.items()},
-            window=len(points),
-            first_t=times[0],
-            last_t=times[-1],
-            delta=delta,
-            rate=(delta / span) if span > 0 else 0.0,
-            vmin=min(values),
-            mean=sum(values) / len(values),
-            vmax=max(values),
-            p99=_quantile(values, 0.99),
-        )
+        return _rollup(name, labels, self.series(name, **labels), window)
 
     def trend_rising(self, name: str, window: int = 8, **labels: object) -> bool:
         """True when the series' last-N samples are net and locally rising.
@@ -332,15 +342,16 @@ class MetricStore:
     def to_dict(self, window: int = 20) -> dict:
         """The ``/timeseries`` payload: every ring plus its windowed rollup."""
         series = []
-        for s in sorted(self._series.values(), key=lambda s: (s.key.name, s.key.labels)):
+        for s in sorted(tuple(self._series.values()), key=lambda s: (s.key.name, s.key.labels)):
             labels = s.key.label_dict()
-            roll = self.rollup(s.key.name, window=window, **labels)
+            points = tuple(s.points)
+            roll = _rollup(s.key.name, labels, points, window)
             series.append(
                 {
                     "name": s.key.name,
                     "labels": labels,
                     "kind": s.kind,
-                    "points": [[t, v] for t, v in s.points],
+                    "points": [[t, v] for t, v in points],
                     "rollup": roll.to_dict() if roll is not None else None,
                 }
             )
@@ -451,7 +462,7 @@ class EventJournal:
         """Filtered view, oldest first."""
         return [
             e
-            for e in self._events
+            for e in tuple(self._events)
             if e.seq > since_seq
             and (kind is None or e.kind == kind)
             and (query is None or e.query == query)
@@ -461,11 +472,11 @@ class EventJournal:
         return list(self._events)[-n:]
 
     def to_dicts(self) -> list[dict]:
-        return [e.to_dict() for e in self._events]
+        return [e.to_dict() for e in tuple(self._events)]
 
     def counts_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for event in self._events:
+        for event in tuple(self._events):
             out[event.kind] = out.get(event.kind, 0) + 1
         return out
 
@@ -482,7 +493,7 @@ class EventJournal:
         if not event.link:
             return []
         out = []
-        for trace in recorder.pinned:
+        for trace in tuple(recorder.pinned):
             if (
                 event.query is not None
                 and trace.query is not None
@@ -673,10 +684,11 @@ class HealthModel:
         journal: "EventJournal | None" = None,
     ) -> HealthReport:
         """Evaluate a live DSMS server (duck-typed to avoid import cycles)."""
+        ob = current()
         if store is None:
-            store = current_metric_store()
+            store = ob.store
         if journal is None:
-            journal = current_journal()
+            journal = ob.journal
         monitor = getattr(server, "slo_monitor", None)
         max_lag_s = monitor.policy.max_lag_s if monitor is not None else None
         now = float(getattr(server, "_now", 0.0))
@@ -684,8 +696,7 @@ class HealthModel:
         queries: list[QueryHealth] = []
         registrations = getattr(server, "_registrations", {})
         plan_dag = getattr(server, "plan_dag", None)
-        for rid in sorted(registrations):
-            reg = registrations[rid]
+        for rid, reg in sorted(tuple(registrations.items()), key=lambda item: item[0]):
             watermarks = [
                 s.watermark for s in reg.sessions if s.watermark > float("-inf")
             ]
@@ -745,40 +756,3 @@ class HealthModel:
             recent_swaps=recent_swaps,
         )
 
-
-# -- module-global installation (same pattern as tracer/collector) ------------
-
-_store: MetricStore | None = None
-_journal: EventJournal | None = None
-
-
-def current_metric_store() -> MetricStore | None:
-    """The installed metric store, or None (zero-cost fast path)."""
-    return _store
-
-
-def install_metric_store(store: MetricStore | None = None) -> MetricStore:
-    global _store
-    _store = store if store is not None else MetricStore()
-    return _store
-
-
-def clear_metric_store() -> None:
-    global _store
-    _store = None
-
-
-def current_journal() -> EventJournal | None:
-    """The installed event journal, or None (zero-cost fast path)."""
-    return _journal
-
-
-def install_journal(journal: EventJournal | None = None) -> EventJournal:
-    global _journal
-    _journal = journal if journal is not None else EventJournal()
-    return _journal
-
-
-def clear_journal() -> None:
-    global _journal
-    _journal = None

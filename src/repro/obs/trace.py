@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from .context import current
 from .registry import get_registry, metrics_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,9 +57,6 @@ __all__ = [
     "FrameTrace",
     "FlightRecorder",
     "FrameTracer",
-    "current_frame_tracer",
-    "enable_frame_tracing",
-    "disable_frame_tracing",
     "trace_source",
     "render_waterfall",
 ]
@@ -368,15 +366,15 @@ class FlightRecorder:
         return list(self._rings)
 
     def __len__(self) -> int:
-        return sum(len(ring) for ring in self._rings.values()) + len(self.pinned)
+        return sum(len(ring) for ring in tuple(self._rings.values())) + len(self.pinned)
 
     def within_bounds(self) -> bool:
-        rings_ok = all(len(ring) <= self.capacity for ring in self._rings.values())
+        rings_ok = all(len(ring) <= self.capacity for ring in tuple(self._rings.values()))
         return rings_ok and len(self.pinned) <= self.pinned_capacity
 
 
 class FrameTracer:
-    """Process-wide per-frame tracer (install via :func:`enable_frame_tracing`).
+    """Process-wide per-frame tracer (install via ``obs.observe(frame_trace=...)``).
 
     Head-based sampling: the decision is taken once per source chunk at
     ``admit`` time (``sample_rate`` of chunks get a context; the rest
@@ -718,40 +716,6 @@ class FrameTracer:
         self._swap_window.clear()
 
 
-# -- module-global install (same pattern as tracing.py) ----------------
-_frame_tracer: FrameTracer | None = None
-
-
-def current_frame_tracer() -> FrameTracer | None:
-    """The installed frame tracer, or None.  Hot paths read this once
-    per open and skip all trace work when it returns None."""
-    return _frame_tracer
-
-
-def enable_frame_tracing(
-    tracer: FrameTracer | None = None,
-    *,
-    sample_rate: float = 1.0,
-    capacity: int = 16,
-    pinned_capacity: int = 32,
-    seed: int = 0,
-) -> FrameTracer:
-    global _frame_tracer
-    if tracer is None:
-        tracer = FrameTracer(
-            sample_rate=sample_rate,
-            recorder=FlightRecorder(capacity, pinned_capacity),
-            seed=seed,
-        )
-    _frame_tracer = tracer
-    return tracer
-
-
-def disable_frame_tracing() -> None:
-    global _frame_tracer
-    _frame_tracer = None
-
-
 def trace_source(stream: "GeoStream") -> "GeoStream":
     """Wrap a raw source so chunks get trace contexts *before* any fault
     injection or hardening — quarantined chunks then carry a traceable
@@ -761,7 +725,7 @@ def trace_source(stream: "GeoStream") -> "GeoStream":
 
     def source() -> Iterator:
         it = stream.chunks()
-        tracer = current_frame_tracer()
+        tracer = current().frame_tracer
         if tracer is None:
             return it
         return _admitted(tracer, stream.stream_id, it)

@@ -30,13 +30,7 @@ from .registry import DEFAULT_BUCKETS, MetricsRegistry, get_registry, metrics_en
 if TYPE_CHECKING:  # pragma: no cover
     from ..operators.base import BinaryOperator, Operator
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "enable_tracing",
-    "disable_tracing",
-]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -244,22 +238,3 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.spans)
 
-
-_tracer: Tracer | None = None
-
-
-def current_tracer() -> Tracer | None:
-    """The active tracer, or None when tracing is off (the common case)."""
-    return _tracer
-
-
-def enable_tracing(tracer: Tracer | None = None) -> Tracer:
-    """Install (and return) the process-local tracer."""
-    global _tracer
-    _tracer = tracer if tracer is not None else Tracer()
-    return _tracer
-
-
-def disable_tracing() -> None:
-    global _tracer
-    _tracer = None

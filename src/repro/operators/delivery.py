@@ -17,7 +17,7 @@ from ..core.chunk import Chunk, PointChunk
 from ..core.image import RasterImage
 from ..core.provenance import Provenance
 from ..errors import OperatorError
-from ..obs.trace import current_frame_tracer
+from ..obs.context import current
 from .aggregate import _FrameCollector
 from .base import Operator
 
@@ -119,7 +119,7 @@ class Delivery(Operator):
         return seq
 
     def _ship(self, image: RasterImage) -> None:
-        ftracer = current_frame_tracer() if self._pending_trace else None
+        ftracer = current().frame_tracer if self._pending_trace else None
         if ftracer is None:
             png = image.to_png_bytes() if self.encode else b""
             self.sink(

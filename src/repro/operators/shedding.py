@@ -24,8 +24,8 @@ from typing import Iterable
 
 from ..core.chunk import Chunk, GridChunk, PointChunk
 from ..errors import OperatorError
+from ..obs.context import current
 from ..obs.registry import get_registry, metrics_enabled
-from ..obs.timeline import current_journal
 from .base import Operator
 
 __all__ = ["FrameSubsampler", "AdaptiveLoadShedder"]
@@ -170,7 +170,7 @@ class AdaptiveLoadShedder(Operator):
             get_registry().counter(
                 "repro_faults_shed_escalations_total", policy=self.name
             ).inc()
-        journal = current_journal()
+        journal = current().journal
         if journal is not None:
             journal.append(
                 "shed-escalate",
@@ -182,7 +182,7 @@ class AdaptiveLoadShedder(Operator):
         if self.managed:
             return
         if self._pressure > 1.0:
-            journal = current_journal()
+            journal = current().journal
             if journal is not None:
                 journal.append(
                     "shed-relax",
@@ -202,7 +202,7 @@ class AdaptiveLoadShedder(Operator):
             raise OperatorError(f"managed pressure must be positive, got {pressure}")
         self._pressure = min(pressure, 64.0)
         self.managed = True
-        journal = current_journal()
+        journal = current().journal
         if journal is not None:
             journal.append(
                 "shed-managed",

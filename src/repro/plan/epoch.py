@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.chunk import Chunk
 from ..errors import PlanError
+from ..obs.context import current
 from ..obs.registry import get_registry, metrics_enabled
-from ..obs.timeline import current_journal
 from ..query.ast import Compose, Empty, QueryNode, StreamRef
 from .ops import make_operator
 
@@ -157,7 +157,7 @@ class EpochTransition:
         self._check_open()
         self._committed = True
         dag = self.dag
-        journal = current_journal()
+        journal = current().journal
         if self._closing:
             if journal is not None:
                 journal.append(

@@ -23,7 +23,8 @@ from ..core.chunk import Chunk
 from ..core.columnar import resolve_columnar
 from ..errors import PlanError
 from ..faults.recovery import current_recovery
-from ..obs.probe import Sinks, StageProbe, installed_sinks
+from ..obs.context import Observation
+from ..obs.probe import StageProbe, installed_sinks
 from ..obs.tracing import Span, Tracer
 from ..operators.base import BinaryOperator, Operator
 from ..query.ast import QueryNode
@@ -130,15 +131,15 @@ class Stage:
             self._tracer = tracer
         return self._span
 
-    def _bind_probe(self, sinks: Sinks) -> StageProbe:
+    def _bind_probe(self, ob: Observation) -> StageProbe:
         probe = self._probe
         if probe is None:
             node = self.node
             probe = self._probe = StageProbe(
                 node.fingerprint, node.describe(), type(node).__name__, self.op.name
             )
-        tracer = sinks[0]
-        return probe.bind(sinks, None if tracer is None else self._ensure_span(tracer))
+        tracer = ob.tracer
+        return probe.bind(ob, None if tracer is None else self._ensure_span(tracer))
 
     def _step(self, chunk: Chunk, side: str | None) -> list[Chunk]:
         """One operator step; quarantines poison chunks under recovery."""
@@ -158,12 +159,12 @@ class Stage:
             if overlap > 1:
                 # This one execution stands in for `overlap` per-query ones.
                 dag.stats.chunks_saved += overlap - 1
-        sinks = installed_sinks(chunk.trace is not None)
-        if sinks is None:
+        ob = installed_sinks(chunk.trace is not None)
+        if ob is None:
             for out in self._step(chunk, side):
                 self._emit(out)
             return
-        probe = self._bind_probe(sinks)
+        probe = self._bind_probe(ob)
         t0 = perf_counter()
         outs = self._step(chunk, side)
         for out in probe.step(chunk, outs, t0, perf_counter()):
@@ -183,12 +184,12 @@ class Stage:
 
     def flush(self) -> None:
         held = self._probe is not None and bool(self._probe.pending)
-        sinks = installed_sinks(held)
-        if sinks is None:
+        ob = installed_sinks(held)
+        if ob is None:
             for out in self._drain():
                 self._emit(out)
             return
-        probe = self._bind_probe(sinks)
+        probe = self._bind_probe(ob)
         t0 = perf_counter()
         outs = self._drain()
         for out in probe.step(None, outs, t0, perf_counter()):

@@ -24,12 +24,12 @@ from ..geo.region import BoundingBox
 from ..index.base import RegionIndex
 from ..index.cascade_tree import CascadeTree
 from ..index.naive import NaiveRegionIndex
+from ..obs.context import current
 from ..obs.export import register_build_info
 from ..obs.registry import get_registry, metrics_enabled
 from ..obs.slo import SLOMonitor, SLOPolicy
-from ..obs.stats import StatsCollector, current_collector
-from ..obs.timeline import current_journal, current_metric_store
-from ..obs.trace import FrameTrace, current_frame_tracer
+from ..obs.stats import StatsCollector
+from ..obs.trace import FrameTrace
 from ..operators.base import Operator
 from ..operators.delivery import DeliveredFrame
 from ..plan import EpochSwapResult, PlanDAG, Stage, canonicalize
@@ -752,15 +752,15 @@ class DSMSServer:
         """The end-to-end trace of one delivered frame.
 
         Requires a frame tracer to have been installed (see
-        :func:`repro.obs.trace.enable_frame_tracing` or
-        ``obs.observe(frame_trace=True)``) before the run, and the
+        ``obs.observe(frame_trace=True)`` or :func:`repro.obs.install`)
+        before the run, and the
         frame's chunks to have been sampled in.
         """
         trace = getattr(frame, "trace", None)
         if trace is None:
             raise ServerError(
                 "frame carries no trace; run under an installed frame tracer "
-                "(obs.observe(frame_trace=True) or enable_frame_tracing()) "
+                "(obs.observe(frame_trace=True) or obs.install()) "
                 "and a sample rate that admits its chunks"
             )
         return trace
@@ -771,11 +771,11 @@ class DSMSServer:
         ``query`` may be a :class:`ClientSession`, a session id, or a
         registration id; sessions sharing a canonical plan share a ring.
         """
-        ftracer = current_frame_tracer()
+        ftracer = current().frame_tracer
         if ftracer is None:
             raise ServerError(
                 "no frame tracer installed; recent_traces needs "
-                "obs.observe(frame_trace=True) or enable_frame_tracing()"
+                "obs.observe(frame_trace=True) or obs.install()"
             )
         key = query.session_id if isinstance(query, ClientSession) else query
         rid = self._session_to_reg.get(key, key)
@@ -833,7 +833,7 @@ class DSMSServer:
         Feed these to :meth:`CalibrationProfile.fit` to turn one observed
         run into per-operator-kind cost coefficients.
         """
-        collector = collector if collector is not None else current_collector()
+        collector = collector if collector is not None else current().stats
         if collector is None:
             raise ServerError(
                 "calibration needs observed stage statistics; run under "
@@ -877,7 +877,7 @@ class DSMSServer:
         """
         from ..query.calibration import CalibrationProfile
 
-        collector = collector if collector is not None else current_collector()
+        collector = collector if collector is not None else current().stats
         if collector is None:
             raise ServerError(
                 "explain_analyze needs observed stage statistics; run under "
@@ -1012,11 +1012,12 @@ class DSMSServer:
             for sid in sources
         }
         reg_ids = {id(r): rid for rid, r in self._registrations.items()}
-        # Metric handles are fetched once per run; the per-chunk cost of
-        # disabled observability is the single None check below.
+        # The installed sinks and metric handles are fetched once per run;
+        # the per-chunk cost of disabled observability is None checks.
+        ob = current()
+        registry = ob.registry
         obs = None
-        if metrics_enabled():
-            registry = get_registry()
+        if registry is not None:
             registry.gauge("dsms_registered_networks").set(len(self._registrations))
             registry.gauge("dsms_active_sessions").set(len(self.active_sessions()))
             # Pre-register per-session instruments so sessions that never
@@ -1043,17 +1044,15 @@ class DSMSServer:
                 per_query,
             )
         ctx = self._recovery_ctx()
-        # Stage statistics / provenance are opt-in: one None check per run
-        # plus one per chunk when a collector is installed.
-        collector = current_collector()
-        # Frame tracing follows the same rule: tracer fetched once per run;
-        # with none installed the per-chunk cost is this one None check.
-        ftracer = current_frame_tracer()
-        # Timeline store and event journal: fetched once; per-chunk cost
-        # with nothing installed is two None checks (the store additionally
-        # rate-limits itself to its logical-clock cadence when present).
-        store = current_metric_store()
-        journal = current_journal()
+        # Stage statistics / provenance are opt-in: one None check per chunk
+        # when a collector is installed. Frame tracing follows the same
+        # rule. With no store or journal the per-chunk cost is two None
+        # checks (the store additionally rate-limits itself to its
+        # logical-clock cadence when present).
+        collector = ob.stats
+        ftracer = ob.frame_tracer
+        store = ob.store
+        journal = ob.journal
         monitor = self.slo_monitor
         slo_seen: dict[int, int] = {}
         slo_clock: dict[int, float] = {}
@@ -1212,8 +1211,7 @@ class DSMSServer:
                 # One forced end-of-run tick so the rings include the
                 # final post-flush state of every instrument.
                 store.sample(self._now)
-        if obs is not None:
-            registry = get_registry()
+        if registry is not None:
             stats = self.plan_dag.stats
             registry.gauge("repro_plan_chunks_saved").set(stats.chunks_saved)
             registry.gauge("repro_plan_subplan_cache_hits").set(stats.subplan_hits)

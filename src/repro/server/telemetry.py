@@ -36,15 +36,9 @@ from typing import TYPE_CHECKING, Optional
 from urllib.parse import parse_qs, urlsplit
 from urllib.request import urlopen
 
+from ..obs.context import current
 from ..obs.export import register_build_info, to_prometheus
-from ..obs.timeline import (
-    EventJournal,
-    HealthModel,
-    MetricStore,
-    current_journal,
-    current_metric_store,
-)
-from ..obs.trace import current_frame_tracer
+from ..obs.timeline import EventJournal, HealthModel, MetricStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.trace import FlightRecorder
@@ -63,11 +57,6 @@ __all__ = [
 
 
 # -- payload builders ---------------------------------------------------------
-
-
-def _current_recorder() -> "FlightRecorder | None":
-    ftracer = current_frame_tracer()
-    return ftracer.recorder if ftracer is not None else None
 
 
 def health_payload(
@@ -135,9 +124,10 @@ def trace_payload(
 class TelemetryServer:
     """Daemon-threaded telemetry endpoint for one DSMS server.
 
-    The handler reads whatever store/journal/recorder are installed *at
-    request time*, so starting the endpoint before ``run()`` works and a
-    post-run server keeps answering with the final state. Use as a
+    The handler reads the installed observation once per request, so
+    starting the endpoint before ``run()`` works, a post-run server keeps
+    answering with the final state, and one reply never pairs one run's
+    store with another run's journal. Use as a
     context manager or call :meth:`close`.
     """
 
@@ -208,8 +198,9 @@ class TelemetryServer:
             except ValueError:
                 return default
 
-        store = current_metric_store()
-        journal = current_journal()
+        ob = current()
+        store = ob.store
+        journal = ob.journal
         if path == "/":
             self._send_json(
                 handler,
@@ -259,7 +250,9 @@ class TelemetryServer:
             except ValueError:
                 self._send_json(handler, {"error": "trace id must be an integer"}, 400)
                 return
-            payload = trace_payload(_current_recorder(), trace_id)
+            ftracer = ob.frame_tracer
+            recorder = ftracer.recorder if ftracer is not None else None
+            payload = trace_payload(recorder, trace_id)
             if payload is None:
                 self._send_json(handler, {"error": f"no capture for trace {trace_id}"}, 404)
             else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import GeoStream, GridLattice
 from repro.geo import LATLON, BoundingBox, goes_geostationary
 from repro.ingest import GOESImager, SyntheticEarth, western_us_sector
@@ -12,6 +13,15 @@ from repro.server import StreamCatalog
 
 # Mid-day over the western US so the visible band has signal.
 DAY_T0 = 72_000.0
+
+
+@pytest.fixture(autouse=True)
+def _clean_observation():
+    """Each test starts with nothing observing and leaves the outer
+    observation installed again when it ends, whatever it installed."""
+    prev = obs.install(obs.Observation())
+    yield
+    obs.install(prev)
 
 
 @pytest.fixture(scope="session")

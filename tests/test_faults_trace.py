@@ -31,13 +31,6 @@ else:
     SEEDS = (101, 202, 303, 404, 505)
 
 
-@pytest.fixture(autouse=True)
-def _clean_trace_state():
-    obs.disable_frame_tracing()
-    yield
-    obs.disable_frame_tracing()
-
-
 def make_catalog() -> StreamCatalog:
     crs = goes_geostationary(-135.0)
     imager = GOESImager(
@@ -52,7 +45,8 @@ def make_catalog() -> StreamCatalog:
 
 
 def run_hardened(spec: FaultSpec, traced: bool):
-    ftracer = obs.enable_frame_tracing() if traced else None
+    ftracer = obs.FrameTracer() if traced else None
+    obs.install(obs.Observation(frame_tracer=ftracer))
     hardened, injector, ctx = harden_catalog(make_catalog(), spec)
     server = DSMSServer(hardened, recovery=ctx)
     session = server.register(QUERY, encode_png=False)
@@ -90,7 +84,6 @@ class TestChaosTraces:
         """Traced and untraced chaos runs are bit-identical twins."""
         spec = FaultSpec.single(kind, seed=SEEDS[0])
         session_a, injector_a, _, _ = run_hardened(spec, traced=False)
-        obs.disable_frame_tracing()
         session_b, injector_b, _, _ = run_hardened(spec, traced=True)
         assert injector_a.counts == injector_b.counts
         assert len(session_a.frames) == len(session_b.frames)

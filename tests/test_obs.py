@@ -15,18 +15,6 @@ from repro.operators import Rescale
 from repro.server import DSMSServer
 
 
-@pytest.fixture(autouse=True)
-def _clean_obs_state():
-    """Every test starts and ends with observability fully off and empty."""
-    obs.disable_metrics()
-    obs.disable_tracing()
-    obs.get_registry().reset()
-    yield
-    obs.disable_metrics()
-    obs.disable_tracing()
-    obs.get_registry().reset()
-
-
 class TestRegistry:
     def test_counter_accumulates_and_rejects_negative(self):
         reg = MetricsRegistry()
@@ -289,18 +277,71 @@ class TestTracing:
         assert span["attrs"]["sources"] == sorted(sources)
 
 
+class TestInstalledObservation:
+    def test_nothing_installed_is_the_empty_observation(self):
+        assert obs.current() == obs.Observation()
+        assert not obs.metrics_enabled()
+
+    def test_install_returns_the_previous_observation(self):
+        first = obs.Observation(tracer=obs.Tracer())
+        outer = obs.current()
+        assert obs.install(first) is outer
+        assert obs.current() is first
+        assert obs.install(outer) is first
+        assert obs.current() is outer
+
+    def test_nested_observe_inherits_unset_sinks_and_restores_by_identity(self):
+        store = obs.MetricStore()
+        with obs.observe(stats=True, store=store) as outer:
+            assert obs.current() is outer and obs.metrics_enabled()
+            with obs.observe(trace=True, journal=True) as inner:
+                assert obs.current() is inner
+                assert inner.stats is outer.stats and inner.store is store
+                assert inner.tracer is not None and inner.journal is not None
+                assert inner.registry is outer.registry is obs.get_registry()
+            assert obs.current() is outer
+            assert outer.tracer is None and outer.journal is None
+        assert obs.current() == obs.Observation()
+
+    def test_nested_observe_restores_by_identity_when_the_body_raises(self):
+        with obs.observe(frame_trace=0.5) as outer:
+            with pytest.raises(RuntimeError, match="boom"):
+                with obs.observe(stats=True, frame_trace=True) as inner:
+                    assert inner.frame_tracer is not outer.frame_tracer
+                    raise RuntimeError("boom")
+            assert obs.current() is outer
+            assert outer.frame_tracer.sample_rate == 0.5
+        assert obs.current() == obs.Observation()
+
+    def test_observe_accepts_ready_sinks(self):
+        tracer, collector = obs.Tracer(), obs.StatsCollector()
+        ftracer, journal = obs.FrameTracer(sample_rate=0.0), obs.EventJournal(capacity=4)
+        with obs.observe(
+            trace=tracer, stats=collector, frame_trace=ftracer, journal=journal
+        ) as ob:
+            assert ob == obs.Observation(
+                registry=obs.get_registry(),
+                tracer=tracer,
+                stats=collector,
+                frame_tracer=ftracer,
+                journal=journal,
+            )
+
+
 class TestZeroCostWhenDisabled:
     """The acceptance bar: disabled observability performs no registry writes."""
 
     def test_pipeline_run_leaves_registry_empty(self, small_imager):
+        obs.get_registry().reset()
         small_imager.stream("vis").pipe(Rescale(2.0)).count_points()
         assert len(obs.get_registry()) == 0
-        assert obs.current_tracer() is None
+        assert obs.current().tracer is None
 
     def test_dsms_run_leaves_registry_empty(self, catalog, small_imager):
         from tests.conftest import sector_subbox
 
         box = sector_subbox(small_imager, 0.1, 0.1, 0.6, 0.6)
+        obs.get_registry().reset()
         server = DSMSServer(catalog)
         session = server.register(
             f"within(reflectance(goes.vis), bbox({box.xmin!r}, {box.ymin!r}, "
@@ -409,9 +450,10 @@ class TestCLISnapshots:
         assert latency_hists, "snapshot must contain a DSMS latency histogram"
         assert by_type["operator"], "snapshot must contain operator reports"
         # And the observed run must not leak enabled state into the process.
-        assert not obs.metrics_enabled() and obs.current_tracer() is None
+        assert obs.current() == obs.Observation()
 
     def test_query_without_flags_is_unobserved(self, capsys):
+        obs.get_registry().reset()
         rc = main(["query", "stretch(reflectance(goes.vis), 'linear')", *SMALL])
         assert rc == 0
         assert len(obs.get_registry()) == 0

@@ -35,21 +35,6 @@ MODES = {
 COUNTERS = ("calls", "chunks_in", "chunks_out", "points_in", "points_out", "bytes_in", "bytes_out")
 
 
-@pytest.fixture(autouse=True)
-def _clean_obs_state():
-    obs.disable_metrics()
-    obs.disable_tracing()
-    obs.disable_stats()
-    obs.disable_frame_tracing()
-    obs.get_registry().reset()
-    yield
-    obs.disable_metrics()
-    obs.disable_tracing()
-    obs.disable_stats()
-    obs.disable_frame_tracing()
-    obs.get_registry().reset()
-
-
 def _ledgers(collector):
     return {s.fingerprint: tuple(getattr(s, f) for f in COUNTERS) for s in collector}
 

@@ -42,20 +42,6 @@ Q_VRANGE = "vrange(reflectance(goes.vis), 0.0, 0.4)"
 Q_STRETCH = "stretch(reflectance(goes.vis), 'linear')"
 
 
-@pytest.fixture(autouse=True)
-def _clean_obs_state():
-    obs.disable_metrics()
-    obs.disable_tracing()
-    obs.disable_stats()
-    obs.disable_frame_tracing()
-    obs.get_registry().reset()
-    yield
-    obs.disable_metrics()
-    obs.disable_tracing()
-    obs.disable_stats()
-    obs.get_registry().reset()
-
-
 def run_shared(catalog):
     """Two queries sharing the reflectance prefix, observed with stats."""
     with obs.observe(stats=True) as ob:

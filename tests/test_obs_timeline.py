@@ -11,6 +11,9 @@ flight recorder's pinned captures.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -24,20 +27,12 @@ from repro.obs.timeline import (
     VERDICT_DEGRADED,
     VERDICT_HEALTHY,
     VERDICT_UNHEALTHY,
-    current_journal,
-    current_metric_store,
 )
 from repro.obs.trace import FrameTrace
 from repro.server import DSMSServer, StreamCatalog
+from repro.server.telemetry import events_payload, timeseries_payload
 
 DAY_T0 = 72_000.0
-
-
-@pytest.fixture(autouse=True)
-def _clean_state():
-    obs.disable_frame_tracing()
-    yield
-    obs.disable_frame_tracing()
 
 
 def make_catalog() -> StreamCatalog:
@@ -340,21 +335,92 @@ class TestHealthModel:
         assert set(payload) >= {"verdict", "reasons", "queries", "at", "dead_letters"}
 
 
+# -- concurrent readers ---------------------------------------------------------
+
+
+class TestConcurrentReaders:
+    def test_payload_readers_survive_a_live_writer(self):
+        """Telemetry threads read the rings while the run loop appends.
+
+        One writer appends journal events and samples the store; two
+        readers build the ``/events`` and ``/timeseries`` payloads in a
+        loop. A forced tiny switch interval makes the threads interleave
+        inside the readers' loops, where iterating a live deque used to
+        raise ``RuntimeError: deque mutated during iteration``.
+        """
+        journal = EventJournal(capacity=256)
+        store = MetricStore(capacity=64, cadence_s=0)
+        reg = MetricsRegistry()
+        writes = reg.counter("writes_total")
+        depth = reg.gauge("depth")
+        errors: list[BaseException] = []
+        done = threading.Event()
+        deadline = time.perf_counter() + 3.0
+
+        def writer():
+            try:
+                for i in range(200_000):
+                    if done.is_set() or time.perf_counter() > deadline:
+                        break
+                    journal.append("fault", query=i % 3, t=float(i))
+                    if i % 10 == 0:
+                        writes.inc()
+                        depth.set(i % 7)
+                        store.sample(float(i), reg)
+            finally:
+                done.set()
+
+        def reader(read):
+            while not done.is_set():
+                try:
+                    read()
+                except RuntimeError as exc:
+                    errors.append(exc)
+                    done.set()
+
+        def read_events():
+            events_payload(journal)
+            journal.counts_by_kind()
+
+        def read_series():
+            timeseries_payload(store)
+            store.keys()
+
+        threads = [
+            threading.Thread(target=writer),
+            threading.Thread(target=reader, args=(read_events,)),
+            threading.Thread(target=reader, args=(read_series,)),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert journal.total > 0 and store.samples_taken > 0
+
+
 # -- installation & the observe() context -------------------------------------
 
 
 class TestInstallation:
     def test_observe_installs_and_restores(self):
-        assert current_metric_store() is None
-        assert current_journal() is None
+        assert obs.current().store is None
+        assert obs.current().journal is None
         store = MetricStore(capacity=8)
         with obs.observe(store=store, journal=True) as ob:
-            assert current_metric_store() is store
+            assert obs.current().store is store
             assert ob.store is store
-            assert current_journal() is ob.journal
+            assert obs.current().journal is ob.journal
             assert isinstance(ob.journal, EventJournal)
-        assert current_metric_store() is None
-        assert current_journal() is None
+        assert obs.current().store is None
+        assert obs.current().journal is None
 
     def test_dsms_run_populates_store_and_journal(self):
         with obs.observe(store=MetricStore(cadence_s=30.0), journal=True) as ob:
@@ -383,7 +449,7 @@ def run_chaos_journal(seed: int, traced: bool) -> tuple[list[dict], object]:
         server.register("reflectance(goes.vis)", encode_png=False)
         with recovering(ctx):
             server.run()
-        ftracer = obs.current_frame_tracer()
+        ftracer = ob.frame_tracer
         recorder = ftracer.recorder if ftracer is not None else None
         return ob.journal.to_dicts(), (injector, recorder)
 
@@ -393,7 +459,6 @@ class TestChaosJournal:
     def test_journal_is_bit_identical_with_and_without_tracing(self, seed):
         """ISSUE acceptance: tracing must not perturb the journal at all."""
         untraced, (injector_a, _) = run_chaos_journal(seed, traced=False)
-        obs.disable_frame_tracing()
         traced, (injector_b, _) = run_chaos_journal(seed, traced=True)
         assert injector_a.counts == injector_b.counts
         assert untraced == traced  # byte-for-byte identical event streams

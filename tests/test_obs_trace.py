@@ -17,6 +17,7 @@ The acceptance contract of the tracing layer:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -37,20 +38,17 @@ Q_REFL = "reflectance(goes.vis)"
 Q_STRETCH = "stretch(reflectance(goes.vis), 'linear')"
 
 
-@pytest.fixture(autouse=True)
-def _clean_obs_state():
-    obs.disable_metrics()
-    obs.disable_tracing()
-    obs.disable_stats()
-    obs.disable_frame_tracing()
-    obs.get_registry().reset()
-    yield
-    obs.disable_frame_tracing()
+def install_tracer(**kwargs) -> obs.FrameTracer:
+    """Install a frame tracer beside the current sinks (the autouse
+    fixture in conftest.py restores the outer observation afterwards)."""
+    ftracer = obs.FrameTracer(**kwargs)
+    obs.install(replace(obs.current(), frame_tracer=ftracer))
+    return ftracer
 
 
 def run_traced(catalog, *queries, sample_rate=1.0, capacity=16, seed=0):
-    ftracer = obs.enable_frame_tracing(
-        sample_rate=sample_rate, capacity=capacity, seed=seed
+    ftracer = install_tracer(
+        sample_rate=sample_rate, recorder=obs.FlightRecorder(capacity), seed=seed
     )
     server = DSMSServer(catalog)
     sessions = [server.register(q, encode_png=False) for q in queries]
@@ -123,11 +121,11 @@ class TestSampling:
 
     def test_fractional_rate_is_seed_deterministic(self, catalog, small_imager):
         def traced_count(seed):
-            obs.disable_frame_tracing()
+            obs.install(obs.Observation())
             cat = StreamCatalog()
             cat.register_imager(small_imager)
             _, _, ftracer = run_traced(cat, Q_REFL, sample_rate=0.5, seed=seed)
-            obs.disable_frame_tracing()
+            obs.install(obs.Observation())
             return ftracer.chunks_traced
 
         a, b = traced_count(7), traced_count(7)
@@ -139,7 +137,7 @@ class TestSampling:
         def forbidden():
             raise AssertionError("perf_counter on sampled-out path")
 
-        obs.enable_frame_tracing(sample_rate=0.0)
+        install_tracer(sample_rate=0.0)
         monkeypatch.setattr("repro.plan.stages.perf_counter", forbidden)
         monkeypatch.setattr("repro.operators.delivery.perf_counter", forbidden)
         server = DSMSServer(catalog)
@@ -174,7 +172,6 @@ class TestFlightRecorder:
     def test_recorder_metrics_published(self, catalog):
         with obs.observe():
             run_traced(catalog, Q_REFL, capacity=1)
-            obs.disable_frame_tracing()
             names = {m["name"] for m in obs.get_registry().snapshot()}
         assert "repro_trace_chunks_total" in names
         assert "repro_trace_frames_total" in names
@@ -202,14 +199,14 @@ class TestServerAPI:
             server.recent_traces(session)
 
     def test_observe_frame_trace_installs_and_restores(self, catalog):
-        assert obs.current_frame_tracer() is None
+        assert obs.current().frame_tracer is None
         with obs.observe(frame_trace=True) as ob:
-            assert obs.current_frame_tracer() is ob.frame_tracer
+            assert obs.current().frame_tracer is ob.frame_tracer
             server = DSMSServer(catalog)
             session = server.register(Q_REFL, encode_png=False)
             server.run()
             assert all(t is not None for t in session.frame_traces())
-        assert obs.current_frame_tracer() is None
+        assert obs.current().frame_tracer is None
 
 
 def make_stall_server():
@@ -239,7 +236,7 @@ def make_stall_server():
 
 class TestAutoPinning:
     def test_slo_breach_pins_the_breaching_frame(self):
-        ftracer = obs.enable_frame_tracing()
+        ftracer = install_tracer()
         server, session, ctx, injector = make_stall_server()
         with recovering(ctx):
             server.run()
@@ -256,7 +253,7 @@ class TestAutoPinning:
         assert ftracer.is_breached(rid)
 
     def test_breached_query_forces_sampling_on(self):
-        ftracer = obs.enable_frame_tracing(sample_rate=0.0)
+        ftracer = install_tracer(sample_rate=0.0)
         server, session, ctx, injector = make_stall_server()
         with recovering(ctx):
             server.run()
@@ -266,7 +263,7 @@ class TestAutoPinning:
         assert ftracer.chunks_traced > 0
 
     def test_quarantine_pins_a_partial_trace(self):
-        ftracer = obs.enable_frame_tracing()
+        ftracer = install_tracer()
         spec = FaultSpec(seed=101, drop=0.1)
         hardened, injector, ctx = harden_catalog(make_stall_catalog(), spec)
         server = DSMSServer(hardened, recovery=ctx)

@@ -33,17 +33,6 @@ from tests.conftest import DAY_T0, hook_stream, sector_subbox
 N_FRAMES = 6
 
 
-@pytest.fixture(autouse=True)
-def _clean_obs_state():
-    obs.disable_stats()
-    obs.disable_frame_tracing()
-    obs.get_registry().reset()
-    yield
-    obs.disable_stats()
-    obs.disable_frame_tracing()
-    obs.get_registry().reset()
-
-
 @pytest.fixture()
 def epoch_imager():
     scene = SyntheticEarth(seed=7)
@@ -431,11 +420,12 @@ class TestAdaptivePolicyUnit:
 class TestTraceEpochIdentity:
     def test_swap_window_pins_both_sides(self, epoch_imager):
         # Sample rate 0: only the swap window can force traces in.
-        ftracer = obs.enable_frame_tracing(sample_rate=0.0)
+        ftracer = obs.FrameTracer(sample_rate=0.0)
+        prev = obs.install(obs.Observation(frame_tracer=ftracer))
         try:
             server, session = run_with_swap(epoch_imager)
         finally:
-            obs.disable_frame_tracing()
+            obs.install(prev)
         pinned = ftracer.recorder.pinned
         assert pinned, "epoch swap must auto-pin the transition window"
         swap_marked = [
@@ -448,11 +438,11 @@ class TestTraceEpochIdentity:
         assert ftracer.chunks_traced > 0  # the window forced sampling on
 
     def test_post_swap_frames_annotated_with_epoch(self, epoch_imager):
-        obs.enable_frame_tracing(sample_rate=1.0)
+        prev = obs.install(obs.Observation(frame_tracer=obs.FrameTracer(sample_rate=1.0)))
         try:
             server, session = run_with_swap(epoch_imager)
         finally:
-            obs.disable_frame_tracing()
+            obs.install(prev)
         by_epoch = {1: [], 2: []}
         for frame in session.frames:
             assert frame.trace is not None

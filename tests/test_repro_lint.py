@@ -269,8 +269,8 @@ def test_rl007_allows_logical_clock_code(tmp_path):
 def test_rl008_flags_direct_sink_calls_in_executors(tmp_path):
     src = (
         "def feed(op, chunk, entry, span, ftr):\n"
-        "    collector = current_collector()\n"
-        "    tracer = obs.current_frame_tracer()\n"
+        "    collector = current().stats\n"
+        "    tracer = obs.current().frame_tracer\n"
         "    ftr.record_hop(chunk.trace)\n"
         "    entry.observe(points_in=1)\n"
         "    span.record(1, 1, 1, 0.0)\n"
@@ -280,18 +280,52 @@ def test_rl008_flags_direct_sink_calls_in_executors(tmp_path):
         assert codes(lint_source(tmp_path, rel, src)) == ["RL008"] * 6
 
 
+def test_rl008_flags_sinks_read_through_a_bound_observation(tmp_path):
+    src = (
+        "def feed(chunk):\n"
+        "    ob = current()\n"
+        "    sinks = installed_sinks(chunk.trace is not None)\n"
+        "    return ob.stats, sinks.frame_tracer\n"
+    )
+    for rel in ("src/repro/engine/pipeline.py", "src/repro/plan/stages.py"):
+        assert codes(lint_source(tmp_path, rel, src)) == ["RL008"] * 2
+
+
 def test_rl008_allows_the_probe_and_other_modules(tmp_path):
     executor = (
-        "def feed(op, chunk, span):\n"
-        "    sinks = installed_sinks(chunk.trace is not None)\n"
-        "    probe = StageProbe.for_operator(op).bind(sinks, span)\n"
+        "def feed(op, chunk, span, dag):\n"
+        "    tracer = current().tracer\n"
+        "    ob = installed_sinks(chunk.trace is not None)\n"
+        "    probe = StageProbe.for_operator(op).bind(ob, span)\n"
+        "    dag.stats.stage_executions += 1\n"
         "    outs = list(op.process(chunk))\n"
         "    return probe.step(chunk, outs, 0.0, 1.0)\n"
     )
     assert lint_source(tmp_path, "src/repro/engine/pipeline.py", executor) == []
-    hooks = "def step(stats, span, ftr, ctx):\n    stats.observe()\n    span.record()\n    ftr.record_hop(ctx)\n"
+    hooks = (
+        "def step(stats, span, ftr, ctx):\n"
+        "    stats.observe()\n"
+        "    span.record()\n"
+        "    ftr.record_hop(ctx)\n"
+        "    return current().stats, current().frame_tracer\n"
+    )
     for rel in ("src/repro/obs/probe.py", "src/repro/server/dsms.py"):
         assert lint_source(tmp_path, rel, hooks) == []
+
+
+# -- RL009: one installed observation ---------------------------------------------
+
+
+def test_rl009_flags_globals_in_obs_modules(tmp_path):
+    src = "_tracer = None\n\ndef enable(t):\n    global _tracer\n    _tracer = t\n"
+    for rel in ("src/repro/obs/tracing.py", "src/repro/obs/timeline.py"):
+        assert codes(lint_source(tmp_path, rel, src)) == ["RL009"]
+
+
+def test_rl009_allows_the_context_module_and_other_packages(tmp_path):
+    src = "_active = None\n\ndef install(ob):\n    global _active\n    _active = ob\n"
+    for rel in ("src/repro/obs/context.py", "src/repro/faults/recovery.py"):
+        assert lint_source(tmp_path, rel, src) == []
 
 
 # -- framework --------------------------------------------------------------------

@@ -47,14 +47,26 @@ def make_catalog() -> StreamCatalog:
 
 
 @pytest.fixture(scope="module")
-def endpoint():
+def served():
     """One observed DSMS run served over HTTP for the whole module."""
-    with obs.observe(store=MetricStore(cadence_s=30.0), journal=True, frame_trace=True):
+    with obs.observe(
+        store=MetricStore(cadence_s=30.0), journal=True, frame_trace=True
+    ) as ob:
         server = DSMSServer(make_catalog())
         server.register("reflectance(goes.vis)", encode_png=False)
         with server.serve_telemetry() as telemetry:
             server.run()
-            yield telemetry
+            yield telemetry, ob
+
+
+@pytest.fixture()
+def endpoint(served):
+    """The module's endpoint, with its run's observation installed for
+    the test (the autouse fixture in conftest.py installs an empty one)."""
+    telemetry, ob = served
+    prev = obs.install(ob)
+    yield telemetry
+    obs.install(prev)
 
 
 def get_raw(url: str):
@@ -141,7 +153,7 @@ class TestEndpoints:
         assert [e["seq"] for e in since["events"]] == seqs[1:]
 
     def test_trace_lookup_and_404(self, endpoint):
-        recorder = obs.current_frame_tracer().recorder
+        recorder = obs.current().frame_tracer.recorder
         traces = [t for q in recorder.queries() for t in recorder.recent(q)]
         traces.extend(recorder.pinned)
         assert traces, "frame tracing was on; the run must have recorded"

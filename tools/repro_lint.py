@@ -46,10 +46,18 @@ Rules:
 * **RL008 — one hook per executor.** The pull executor
   (``src/repro/engine/pipeline.py``) and the push stages
   (``src/repro/plan/stages.py``) account operator steps only through
-  ``repro.obs.probe``: direct ``current_collector()`` /
-  ``current_frame_tracer()`` calls, ``.record_hop(``, ``.observe(`` /
-  ``.observe_operator(`` and ``span.record(`` are forbidden there, so
-  the two executors cannot drift into separate instrumentation copies.
+  ``repro.obs.probe``: reading the stats collector or frame tracer off
+  the installed observation (``current().stats``,
+  ``current().frame_tracer``, or either field of a local bound to
+  ``current()`` / ``installed_sinks()``), and calling ``.record_hop(``,
+  ``.observe(`` / ``.observe_operator(`` or ``span.record(``, are
+  forbidden there, so the two executors cannot drift into separate
+  instrumentation copies.
+* **RL009 — one installed observation.** Under ``src/repro/obs/`` a
+  ``global`` statement may appear only in ``obs/context.py``: every
+  sink is a field of the one installed ``Observation``, so a second
+  module global would bring back a sink that ``observe()`` does not
+  save and restore.
 """
 
 from __future__ import annotations
@@ -489,9 +497,11 @@ def _check_timeline_clock(rel: str, tree: ast.AST) -> Iterator[Violation]:
 # -- RL008: executors instrument only through the stage probe ---------------------
 
 EXECUTOR_FILES = ("src/repro/engine/pipeline.py", "src/repro/plan/stages.py")
-PROBE_ONLY_CALLS = frozenset(
-    {"current_collector", "current_frame_tracer", "record_hop", "observe", "observe_operator"}
-)
+PROBE_ONLY_CALLS = frozenset({"record_hop", "observe", "observe_operator"})
+# Observation fields only the stage probe may read in an executor.
+PROBE_ONLY_SINKS = frozenset({"stats", "frame_tracer"})
+# Calls whose result is the installed observation.
+OBSERVATION_CALLS = frozenset({"current", "installed_sinks"})
 
 
 def _receiver_name(node: ast.expr) -> str:
@@ -502,10 +512,38 @@ def _receiver_name(node: ast.expr) -> str:
     return ""
 
 
+def _is_observation_call(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and _receiver_name(node.func) in OBSERVATION_CALLS
+
+
 def _check_probe_only(rel: str, tree: ast.AST) -> Iterator[Violation]:
     if rel not in EXECUTOR_FILES:
         return
+    # Locals bound to the installed observation, anywhere in the file.
+    bound = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+        and node.value is not None
+        and _is_observation_call(node.value)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
     for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PROBE_ONLY_SINKS:
+            value = node.value
+            if _is_observation_call(value) or (
+                isinstance(value, ast.Name) and value.id in bound
+            ):
+                yield Violation(
+                    rel,
+                    node.lineno,
+                    node.col_offset,
+                    "RL008",
+                    f"direct read of the installed {node.attr} in an executor; "
+                    "account operator steps through repro.obs.probe (StageProbe)",
+                )
+            continue
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -526,6 +564,27 @@ def _check_probe_only(rel: str, tree: ast.AST) -> Iterator[Violation]:
             )
 
 
+# -- RL009: the installed observation is the only obs global ----------------------
+
+OBS_DIR = "src/repro/obs/"
+CONTEXT_FILE = "src/repro/obs/context.py"
+
+
+def _check_obs_globals(rel: str, tree: ast.AST) -> Iterator[Violation]:
+    if not rel.startswith(OBS_DIR) or rel == CONTEXT_FILE:
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield Violation(
+                rel,
+                node.lineno,
+                node.col_offset,
+                "RL009",
+                f"global {', '.join(node.names)} in repro.obs; install sinks as "
+                "fields of the one Observation (repro.obs.context)",
+            )
+
+
 _CHECKS = (
     _check_timing,
     _check_private_imports,
@@ -535,6 +594,7 @@ _CHECKS = (
     _check_stage_table_mutation,
     _check_timeline_clock,
     _check_probe_only,
+    _check_obs_globals,
 )
 
 
